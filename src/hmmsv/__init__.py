@@ -7,7 +7,6 @@ exhaustive enumeration ship alongside as verification oracles.
 """
 
 from .core import (
-    GAUSSIAN_SV,
     InvalidParameterError,
     ModelConfig,
     ObservationSeries,
@@ -21,12 +20,11 @@ from .core import (
 )
 from .tensors import expand_broadcast, marginalize
 from .recursion import (
-    NumeratorTensor,
     PosteriorSlice,
     Prediction,
-    SmoothedJoint,
     StructuralZeroError,
     backward_pass,
+    check_posteriors,
     forward_joint_pass,
     local_decode,
     log_likelihood,
@@ -57,12 +55,11 @@ from .estimator import (
     grid_search,
     m_step,
 )
-from .cli import CLIError, RunConfig, ingest, run
+from .cli import CLIError, ingest, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GAUSSIAN_SV",
     "InvalidParameterError",
     "ModelConfig",
     "ObservationSeries",
@@ -75,12 +72,11 @@ __all__ = [
     "validate",
     "expand_broadcast",
     "marginalize",
-    "NumeratorTensor",
     "PosteriorSlice",
     "Prediction",
-    "SmoothedJoint",
     "StructuralZeroError",
     "backward_pass",
+    "check_posteriors",
     "forward_joint_pass",
     "local_decode",
     "log_likelihood",
@@ -107,7 +103,6 @@ __all__ = [
     "grid_search",
     "m_step",
     "CLIError",
-    "RunConfig",
     "ingest",
     "run",
 ]

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,28 +32,6 @@ from .recursion import backward_pass, forward_joint_pass, local_decode, predict,
 
 class CLIError(Exception):
     """User-facing failure; printed as a diagnostic with a nonzero exit."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation."""
-
-    command: str
-    input: str | None = None
-    column: str | None = None
-    prices: bool = False
-    h: int | None = None
-    k: int | None = None
-    h_list: tuple[int, ...] | None = None
-    k_list: tuple[int, ...] | None = None
-    starts: int = 10
-    seed: int = 0
-    max_iter: int = 1000
-    tol: float = 1e-8
-    params: str | None = None
-    length: int | None = None
-    out: str | None = None
-    fmt: str = "json"
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +57,7 @@ def _column_index(column, first_row: list[str]) -> tuple[int, bool]:
             )
         idx = 0
     if idx >= len(first_row):
-        return idx, False
+        raise CLIError(f"column index {idx} is out of range: the file has {len(first_row)} column(s)")
     try:
         float(first_row[idx])
     except ValueError:
@@ -250,12 +227,12 @@ def _kv_rows(payload: dict) -> list[list]:
 # ---------------------------------------------------------------------------
 # commands
 
-def _settings(cfg: RunConfig) -> EMSettings:
+def _settings(args: argparse.Namespace) -> EMSettings:
     return EMSettings(
-        max_iterations=cfg.max_iter,
-        rel_tolerance=cfg.tol,
-        n_starts=cfg.starts,
-        seed=cfg.seed,
+        max_iterations=args.max_iter,
+        rel_tolerance=args.tol,
+        n_starts=args.starts,
+        seed=args.seed,
     )
 
 
@@ -275,17 +252,17 @@ def _fit_payload(config: ModelConfig, result: FitResult, T: int) -> dict:
     return payload
 
 
-def _do_fit(cfg: RunConfig) -> str:
-    series = ingest(cfg.input, cfg.column, cfg.prices)
-    config = ModelConfig(k=cfg.k, h=cfg.h)
-    result = fit(config, series, _settings(cfg))
+def _do_fit(args: argparse.Namespace) -> str:
+    series = ingest(args.input, args.column, args.prices)
+    config = ModelConfig(k=args.k, h=args.h)
+    result = fit(config, series, _settings(args))
     print(
-        f"fit h={cfg.h} k={cfg.k}: loglik={result.loglik:.6g} npar={result.npar} "
+        f"fit h={args.h} k={args.k}: loglik={result.loglik:.6g} npar={result.npar} "
         f"bic={result.bic:.6g} iterations={result.trace.size} converged={result.converged}",
         file=sys.stderr,
     )
     payload = _fit_payload(config, result, len(series))
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         return _json_text(payload)
     return _csv_text(_kv_rows(payload))
 
@@ -311,11 +288,11 @@ def _grid_table(res: GridSearchResult, hs, ks) -> str:
     return "\n".join(lines)
 
 
-def _do_grid(cfg: RunConfig) -> str:
-    series = ingest(cfg.input, cfg.column, cfg.prices)
-    res = grid_search(series, cfg.h_list, cfg.k_list, _settings(cfg))
-    hs = sorted(set(cfg.h_list))
-    ks = sorted(set(cfg.k_list))
+def _do_grid(args: argparse.Namespace) -> str:
+    series = ingest(args.input, args.column, args.prices)
+    res = grid_search(series, args.h_list, args.k_list, _settings(args))
+    hs = sorted(set(args.h_list))
+    ks = sorted(set(args.k_list))
     print(_grid_table(res, hs, ks), file=sys.stderr)
     cells = []
     for h in hs:
@@ -333,7 +310,7 @@ def _do_grid(cfg: RunConfig) -> str:
                     "converged": cell.converged,
                 }
             )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "cells": cells,
             "selected": {"h": res.selected[0], "k": res.selected[1]},
@@ -358,9 +335,9 @@ def _do_grid(cfg: RunConfig) -> str:
     return _csv_text(rows)
 
 
-def _do_decode(cfg: RunConfig) -> str:
-    config, params = load_params(cfg.params)
-    series = ingest(cfg.input, cfg.column, cfg.prices)
+def _do_decode(args: argparse.Namespace) -> str:
+    config, params = load_params(args.params)
+    series = ingest(args.input, args.column, args.prices)
     slices = backward_pass(params, config, series)
     marginals = state_marginals(forward_joint_pass(slices, config))
     states = local_decode(marginals)
@@ -369,7 +346,7 @@ def _do_decode(cfg: RunConfig) -> str:
         + ",".join(str(s) for s in sorted(set(states.tolist()))),
         file=sys.stderr,
     )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         return _json_text({"states": states, "marginals": marginals})
     rows = [["t", "state"] + [f"q{v}" for v in range(1, config.k + 1)]]
     for t in range(len(series)):
@@ -377,9 +354,9 @@ def _do_decode(cfg: RunConfig) -> str:
     return _csv_text(rows)
 
 
-def _do_predict(cfg: RunConfig) -> str:
-    config, params = load_params(cfg.params)
-    series = ingest(cfg.input, cfg.column, cfg.prices)
+def _do_predict(args: argparse.Namespace) -> str:
+    config, params = load_params(args.params)
+    series = ingest(args.input, args.column, args.prices)
     slices = backward_pass(params, config, series)
     pred = predict(params, config, slices)
     print(
@@ -387,19 +364,19 @@ def _do_predict(cfg: RunConfig) -> str:
         file=sys.stderr,
     )
     payload = {"next_state": pred.next_state, "weights": pred.weights, "sigma": pred.sigma}
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         return _json_text(payload)
     return _csv_text(_kv_rows(payload))
 
 
-def _do_simulate(cfg: RunConfig) -> str:
-    config, params = load_params(cfg.params)
-    states, series = simulate(config, params, cfg.length, cfg.seed)
-    print(f"simulate: T={cfg.length} seed={cfg.seed}", file=sys.stderr)
-    if cfg.fmt == "json":
+def _do_simulate(args: argparse.Namespace) -> str:
+    config, params = load_params(args.params)
+    states, series = simulate(config, params, args.length, args.seed)
+    print(f"simulate: T={args.length} seed={args.seed}", file=sys.stderr)
+    if args.fmt == "json":
         return _json_text({"states": states, "y": series.y})
     rows = [["t", "state", "y"]]
-    for t in range(cfg.length):
+    for t in range(args.length):
         rows.append([t + 1, int(states[t]), _fmt_cell(series.y[t])])
     return _csv_text(rows)
 
@@ -413,11 +390,11 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one invocation parsed by build_parser; returns the process exit status."""
     try:
-        text = _COMMANDS[cfg.command](cfg)
-        _emit(text, cfg.out)
+        text = _COMMANDS[args.command](args)
+        _emit(text, args.out)
     except CLIError as exc:
         print(f"error: cli: {exc}", file=sys.stderr)
         return 1
@@ -495,30 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        input=getattr(ns, "input", None),
-        column=getattr(ns, "column", None),
-        prices=getattr(ns, "prices", False),
-        h=getattr(ns, "h", None),
-        k=getattr(ns, "k", None),
-        h_list=tuple(ns.h_list) if getattr(ns, "h_list", None) else None,
-        k_list=tuple(ns.k_list) if getattr(ns, "k_list", None) else None,
-        starts=getattr(ns, "starts", 10),
-        seed=getattr(ns, "seed", 0),
-        max_iter=getattr(ns, "max_iter", 1000),
-        tol=getattr(ns, "tol", 1e-8),
-        params=getattr(ns, "params", None),
-        length=getattr(ns, "length", None),
-        out=getattr(ns, "out", None),
-        fmt=getattr(ns, "fmt", "json"),
-    )
-
-
 def main(argv=None) -> int:
-    return run(parse_args(argv))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GAUSSIAN_SV = "gaussian-sv"
-
 _ROW_SUM_TOL = 1e-12
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -32,7 +30,7 @@ def _frozen_array(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Number of states, chain order, and emission family.
+    """Number of states and chain order.
 
     h = 0 denotes serially independent regimes: a single marginal distribution
     shared by every occasion. The series length is a property of the data, not
@@ -41,15 +39,12 @@ class ModelConfig:
 
     k: int
     h: int
-    emission: str = GAUSSIAN_SV
 
     def __post_init__(self):
         if not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if not isinstance(self.h, (int, np.integer)) or self.h < 0:
             raise ValueError(f"h must be a non-negative integer, got {self.h!r}")
-        if self.emission != GAUSSIAN_SV:
-            raise ValueError(f"unsupported emission family {self.emission!r}")
 
 
 @dataclass(frozen=True)
@@ -97,13 +92,20 @@ class ParameterSet:
         return self.transition(t).reshape(-1)
 
 
+def _check_compat(params: ParameterSet, config: ModelConfig) -> None:
+    if params.k != config.k or params.h != config.h:
+        raise InvalidParameterError(
+            f"parameter set is for (k={params.k}, h={params.h}), "
+            f"model expects (k={config.k}, h={config.h})"
+        )
+
+
 @dataclass(frozen=True)
 class ObservationSeries:
-    """A finite series of percentage log-returns with optional provenance."""
+    """A finite series of percentage log-returns with an optional label."""
 
     y: np.ndarray
     label: str | None = None
-    dates: tuple[str, ...] | None = None
 
     def __post_init__(self):
         arr = np.array(self.y, dtype=float).reshape(-1)
@@ -113,8 +115,6 @@ class ObservationSeries:
             raise ValueError("observation series contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "y", arr)
-        if self.dates is not None:
-            object.__setattr__(self, "dates", tuple(self.dates))
 
     def __len__(self) -> int:
         return int(self.y.size)

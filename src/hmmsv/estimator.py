@@ -33,16 +33,13 @@ class EMSettings:
     """Knobs for the EM loop.
 
     rel_tolerance applies to the relative change of the log-likelihood between
-    consecutive iterations. strict_zeros makes the smoothing pass raise on
-    structurally impossible configurations instead of assigning them zero
-    mass.
+    consecutive iterations.
     """
 
     max_iterations: int = 1000
     rel_tolerance: float = 1e-8
     n_starts: int = 10
     seed: int = 0
-    strict_zeros: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -60,17 +57,19 @@ class ExpectedCounts:
     """Posterior expectations of the state and window indicator variables.
 
     w_hat[t-1, v-1] is the smoothed probability of state v at occasion t;
-    z_hat[t-1] is the flat joint posterior of the trailing window at t.
+    z_hat is the (T, k**h, k) array of joint posteriors of the trailing
+    windows from forward_joint_pass, so z_hat[t-1, :k**(t-1)] is the joint of
+    (u_1, ..., u_t) for t <= h.
     """
 
     w_hat: np.ndarray
-    z_hat: tuple[np.ndarray, ...]
+    z_hat: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w_hat, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "w_hat", w)
-        object.__setattr__(self, "z_hat", tuple(self.z_hat))
+        for name in ("w_hat", "z_hat"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -86,14 +85,14 @@ class FitResult:
     start_index: int
 
 
-def e_step(params: ParameterSet, config: ModelConfig, y, strict: bool = False):
+def e_step(params: ParameterSet, config: ModelConfig, y):
     """Posterior window expectations plus the log-likelihood at the current parameters."""
     y_arr = as_array(y)
-    slices = backward_pass(params, config, y_arr, strict=strict)
+    slices = backward_pass(params, config, y_arr)
     joints = forward_joint_pass(slices, config)
     w_hat = state_marginals(joints)
     ll = log_likelihood(params, config, y_arr, slices)
-    return ExpectedCounts(w_hat=w_hat, z_hat=tuple(j.values for j in joints)), ll
+    return ExpectedCounts(w_hat=w_hat, z_hat=joints), ll
 
 
 def _normalize_rows(z: np.ndarray, k: int) -> np.ndarray:
@@ -130,16 +129,10 @@ def m_step(
 
     early = []
     for t in range(1, h + 1):
-        if t <= T:
-            z = np.asarray(counts.z_hat[t - 1]).reshape(k ** (t - 1), k)
-        else:
-            z = np.zeros((k ** (t - 1), k))
+        z = counts.z_hat[t - 1, : k ** (t - 1)] if t <= T else np.zeros((k ** (t - 1), k))
         early.append(_normalize_rows(z, k))
-    if T > h:
-        pooled = np.sum(np.stack([np.asarray(z) for z in counts.z_hat[h:]]), axis=0)
-    else:
-        pooled = np.zeros(k ** (h + 1))
-    pi = _normalize_rows(pooled.reshape(k**h, k), k)
+    # every occasion past h uses pi; the sum is zero when there are none
+    pi = _normalize_rows(counts.z_hat[h:].sum(axis=0), k)
     return ParameterSet(early=tuple(early), pi=pi, sigma=sigma)
 
 
@@ -181,7 +174,7 @@ def _run_em(params: ParameterSet, config: ModelConfig, y_arr, settings: EMSettin
     converged = False
     counts = None
     for _ in range(settings.max_iterations):
-        counts, ll = e_step(params, config, y_arr, strict=settings.strict_zeros)
+        counts, ll = e_step(params, config, y_arr)
         trace.append(ll)
         if ll_prev is not None and abs(ll - ll_prev) <= settings.rel_tolerance * max(1.0, abs(ll_prev)):
             converged = True
@@ -189,7 +182,7 @@ def _run_em(params: ParameterSet, config: ModelConfig, y_arr, settings: EMSettin
         ll_prev = ll
         params = m_step(counts, y_arr, config, prev=params)
     else:
-        counts, ll = e_step(params, config, y_arr, strict=settings.strict_zeros)
+        counts, ll = e_step(params, config, y_arr)
         trace.append(ll)
     if np.any(counts.w_hat.sum(axis=0) < _EMPTY_STATE_TOL):
         converged = False
@@ -259,8 +252,10 @@ class GridSearchResult:
 def grid_search(y, h_values, k_values, settings: EMSettings | None = None) -> GridSearchResult:
     """Fit every (h, k) cell and pick the smallest BIC; ties favor the smaller cell.
 
-    A failing cell is recorded under errors and skipped rather than aborting
-    the whole search.
+    A cell whose model fails (a ValueError, such as an invalid order or a
+    structural zero, or an EstimationError) is recorded under errors and
+    skipped rather than aborting the whole search; any other exception is a
+    programming error and propagates.
     """
     hs = sorted({int(v) for v in h_values})
     ks = sorted({int(v) for v in k_values})
@@ -275,7 +270,7 @@ def grid_search(y, h_values, k_values, settings: EMSettings | None = None) -> Gr
         for k in ks:
             try:
                 res = fit(ModelConfig(k=k, h=h), y_arr, settings)
-            except Exception as exc:  # cells are independent; keep going
+            except (ValueError, EstimationError) as exc:
                 errors[(h, k)] = str(exc)
                 continue
             results[(h, k)] = res

@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ModelConfig, ParameterSet, as_array, emission_matrix
-from .recursion import _check_compat
+from .core import ModelConfig, ParameterSet, _check_compat, as_array, emission_matrix
 
 MAX_PATHS = 1_000_000
 

@@ -6,11 +6,18 @@ conditional probability in [0, 1], so the pass stays numerically healthy at
 any series length without rescaling; logs enter only when the total
 log-likelihood is assembled.
 
-Window layout: a slice at occasion t conditioning on n_lag past states and j
-future states stores a flat tensor over the d = n_lag + j + 1 window variables
-(u_{t-n_lag}, ..., u_{t+j}) in lexicographic order, most recent fastest. The
-current state u_t therefore sits at window position n_lag + 1, and
-n_lag = min(t - 1, h).
+Array layout: the passes return (T, k**h, k) arrays whose block t-1 has the
+layout of ParameterSet.pi, rows indexed by the lags (u_{t-h}, ..., u_{t-1})
+in lexicographic order, most recent fastest, and columns by u_t. Occasions
+t <= h have only t - 1 real lags; the h + 1 - t lags before the series start
+lead the row index, so rows [:k**(t-1)] read such an occasion. Conditionals
+repeat those rows over the missing lags; joints pin the missing lags to
+index 0 and are zero in every other row.
+
+The reference API (windowed_full_conditional, peel, terminal_posterior)
+returns PosteriorSlice windows over the real variables only:
+(u_{t-n_lag}, ..., u_{t+j}) with n_lag = min(t - 1, h), flattened the same
+way, so u_t sits at window position n_lag + 1.
 """
 
 from __future__ import annotations
@@ -20,37 +27,25 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import (
-    InvalidParameterError,
-    ModelConfig,
-    ParameterSet,
-    as_array,
-    emission_matrix,
-)
-from .tensors import marginalize
+from .core import ModelConfig, ParameterSet, _check_compat, as_array, emission_matrix
 
 _ENTRY_TOL = 1e-10
+# interior occasions per conditional build: bounds the extra memory of the
+# backward pass at _BLOCK * k**(2h+1) floats
+_BLOCK = 4096
 
 
 class StructuralZeroError(ValueError):
     """A conditioning configuration carries zero probability mass."""
 
 
-def _check_compat(params: ParameterSet, config: ModelConfig) -> None:
-    if params.k != config.k or params.h != config.h:
-        raise InvalidParameterError(
-            f"parameter set is for (k={params.k}, h={params.h}), "
-            f"model expects (k={config.k}, h={config.h})"
-        )
-
-
 @dataclass(frozen=True)
 class PosteriorSlice:
     """Conditional posterior of u_t given the window states and the data.
 
-    values is the flat window tensor described in the module docstring; for
-    every fixed configuration of the conditioning variables the entries over
-    u_t sum to one.
+    values is the flat window tensor of the reference API described in the
+    module docstring; for every fixed configuration of the conditioning
+    variables the entries over u_t sum to one.
     """
 
     t: int
@@ -76,109 +71,90 @@ class PosteriorSlice:
     def window_times(self) -> tuple[int, ...]:
         return tuple(range(self.t - self.n_lag, self.t + self.j + 1))
 
-    def check(self, atol: float = _ENTRY_TOL) -> None:
-        """Raise if entries leave [0, 1] or conditional sums drift from one."""
-        v = self.values
-        if v.min() < -atol or v.max() > 1.0 + atol:
-            raise ValueError(f"slice at t={self.t}, j={self.j} has entries outside [0, 1]")
-        sums = v.reshape(self.k**self.n_lag, self.k, -1).sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > atol:
-            raise ValueError(f"slice at t={self.t}, j={self.j} is not normalized over u_t")
 
+def _prior_stack(params: ParameterSet) -> np.ndarray:
+    """(h+1, k**(h+1)) transition tables in the padded window layout.
 
-@dataclass(frozen=True)
-class SmoothedJoint:
-    """Joint posterior of the trailing window (u_{max(t-h,1)}, ..., u_t) given the data."""
-
-    t: int
-    k: int
-    n_vars: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        if vals.size != self.k**self.n_vars:
-            raise ValueError(f"joint at t={self.t} needs {self.k**self.n_vars} entries, got {vals.size}")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def check(self, atol: float = _ENTRY_TOL) -> None:
-        v = self.values
-        if v.min() < -atol:
-            raise ValueError(f"joint at t={self.t} has negative entries")
-        if abs(float(v.sum()) - 1.0) > atol:
-            raise ValueError(f"joint at t={self.t} does not sum to one")
-
-
-@dataclass(frozen=True)
-class NumeratorTensor:
-    """Unnormalized window numerator: the emission at t times every transition
-    factor that touches the window."""
-
-    t: int
-    j: int
-    k: int
-    n_lag: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def normalizer(self) -> np.ndarray:
-        """Normalizing constants per conditioning configuration (u_t summed out)."""
-        return marginalize(self.values, self.n_lag + 1, self.k)
-
-
-def _full_conditional(params: ParameterSet, f_t: np.ndarray, t: int, j: int, strict: bool):
-    """Flat q and numerator vectors for occasion t with j future window states."""
+    Row t-1 governs occasion t: the early tables repeat over the h + 1 - t
+    leading lags they do not condition on, and the last row is pi.
+    """
     k, h = params.k, params.h
-    n_lag = min(t - 1, h)
-    a = np.tile(f_t, k**n_lag) * params.prior_vector(t)
-    for l in range(1, j + 1):
-        p_next = params.prior_vector(t + l)
-        reps = k ** (n_lag + l + 1) // p_next.size
-        a = np.repeat(a, k) * np.tile(p_next, reps)
-    a3 = a.reshape(k**n_lag, k, -1)
-    c = a3.sum(axis=1, keepdims=True)
+    return np.stack([np.tile(params.prior_vector(t), k ** (h + 1 - t)) for t in range(1, h + 2)])
+
+
+def _conditionals(F: np.ndarray, priors: np.ndarray, k: int, h: int, strict: bool):
+    """Full conditionals and numerators for a block of occasions t.
+
+    F holds the block's (n, k) emission rows. priors[l] is the padded prior
+    row of occasion t + l, shared by the whole block, so the window
+    (u_{t-h}, ..., u_{t+j}) has j = len(priors) - 1 future states. Returns
+    two (n, k**(h+1+j)) arrays: q, normalized over u_t, and the numerator.
+    """
+    n = F.shape[0]
+    a = np.tile(F, (1, k**h)) * priors[0]
+    for l in range(1, len(priors)):
+        a = np.repeat(a, k, axis=1) * np.tile(priors[l], k**l)
+    a4 = a.reshape(n, k**h, k, -1)
+    c = a4.sum(axis=2, keepdims=True)
     if c.min() > 0:
-        q3 = a3 / c
+        q = a4 / c
     elif strict:
-        raise StructuralZeroError(f"zero normalizing constant at occasion {t}")
+        raise StructuralZeroError("zero normalizing constant in the conditional build")
     else:
         # configurations with no mass get conditional probability zero
-        q3 = np.divide(a3, c, out=np.zeros_like(a3), where=c > 0)
-    return q3.reshape(-1), a
+        q = np.divide(a4, c, out=np.zeros_like(a4), where=c > 0)
+    return q.reshape(n, -1), a
+
+
+def _block_priors(P: np.ndarray, t: int, j: int) -> np.ndarray:
+    """Prior rows of occasions t, ..., t + j from the padded stack."""
+    return P[np.minimum(np.arange(t - 1, t + j), P.shape[0] - 1)]
 
 
 def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int, strict: bool) -> np.ndarray:
-    """Reciprocal-sum step removing the last future state from a window."""
+    """Reciprocal-sum step removing the last future state from a window.
+
+    Callers ignore floating-point over, divide and invalid warnings: a ratio
+    may overflow when the divisor is subnormal, and the infinite reciprocal
+    sum then collapses that entry to zero mass, as it should.
+    """
     reps = q_inner.size // q_next.size
     # dividing block-wise is the same as tiling q_next over the wider window
     blocks = q_inner.reshape(reps, q_next.size)
     if q_inner.min() > 0.0:
-        # a ratio may overflow when the divisor is subnormal; the infinite
-        # reciprocal sum then collapses that entry to zero mass, as it should
-        with np.errstate(over="ignore"):
-            out = 1.0 / (q_next / blocks).reshape(-1, k).sum(axis=1)
+        out = 1.0 / (q_next / blocks).reshape(-1, k).sum(axis=1)
         if out.max() > 1.0 + _ENTRY_TOL:
             raise ValueError("peel produced entries outside [0, 1]; window inputs are inconsistent")
         return out
     if strict:
         raise StructuralZeroError("peel would divide by a zero conditional probability")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = q_next / blocks
+    ratio = q_next / blocks
     # zero-mass numerators contribute nothing; a positive numerator over a
     # zero denominator blows the sum up, collapsing the output to zero mass
     ratio = np.where(np.broadcast_to(q_next == 0.0, blocks.shape), 0.0, ratio)
-    with np.errstate(divide="ignore"):
-        out = 1.0 / ratio.reshape(-1, k).sum(axis=1)
+    out = 1.0 / ratio.reshape(-1, k).sum(axis=1)
     # values are exact wherever the conditioning configuration is reachable;
     # a zero-probability configuration has no defined conditional, so its
     # entries are only kept as bounded placeholders that never receive
     # posterior mass downstream
     return np.minimum(np.where(np.isfinite(out), out, 0.0), 1.0)
+
+
+def _window(params: ParameterSet, y_t: float, t: int, j: int, strict: bool):
+    """Flat q and numerator over the real window (u_{t-n_lag}, ..., u_{t+j})."""
+    if t < 1:
+        raise ValueError(f"occasion index must be >= 1, got {t}")
+    if j < 0:
+        raise ValueError(f"look-ahead count must be >= 0, got {j}")
+    if not np.isfinite(y_t):
+        raise ValueError(f"observation must be finite, got {y_t!r}")
+    k, h = params.k, params.h
+    F = emission_matrix([y_t], params.sigma)
+    q, a = _conditionals(F, _block_priors(_prior_stack(params), t, j), k, h, strict)
+    # the padded lags before the series start sit at index 0, so the real
+    # window is the leading part of the padded one
+    size = k ** (min(t - 1, h) + j + 1)
+    return q[0, :size], a[0, :size]
 
 
 def terminal_posterior(
@@ -189,39 +165,24 @@ def terminal_posterior(
     t is the 1-based index of the final occasion, i.e. the series length.
     """
     _check_compat(params, config)
-    if t < 1:
-        raise ValueError(f"occasion index must be >= 1, got {t}")
-    if not np.isfinite(y_last):
-        raise ValueError(f"observation must be finite, got {y_last!r}")
-    f = emission_matrix([y_last], params.sigma)[0]
-    q, _ = _full_conditional(params, f, t, 0, strict)
+    q, _ = _window(params, y_last, t, 0, strict)
     return PosteriorSlice(t=t, j=0, k=config.k, n_lag=min(t - 1, config.h), values=q)
 
 
 def windowed_full_conditional(
     params: ParameterSet, config: ModelConfig, y_t: float, t: int, j: int, strict: bool = False
-) -> tuple[PosteriorSlice, NumeratorTensor]:
+) -> tuple[PosteriorSlice, np.ndarray]:
     """Full conditional of u_t given the surrounding window states and y_t alone.
 
     j counts the future occasions t+1, ..., t+j inside the window; the
-    intended use has j = min(T - t, h). The numerator chains the emission at t
-    with the transition factors of every window occasion, and the normalizer
-    sums it over u_t.
+    intended use has j = min(T - t, h). The numerator, returned as a flat
+    array over the same window, chains the emission at t with the transition
+    factors of every window occasion; summing it over u_t gives the
+    normalizer.
     """
     _check_compat(params, config)
-    if t < 1:
-        raise ValueError(f"occasion index must be >= 1, got {t}")
-    if j < 0:
-        raise ValueError(f"look-ahead count must be >= 0, got {j}")
-    if not np.isfinite(y_t):
-        raise ValueError(f"observation must be finite, got {y_t!r}")
-    f = emission_matrix([y_t], params.sigma)[0]
-    q, a = _full_conditional(params, f, t, j, strict)
-    n_lag = min(t - 1, config.h)
-    return (
-        PosteriorSlice(t=t, j=j, k=config.k, n_lag=n_lag, values=q),
-        NumeratorTensor(t=t, j=j, k=config.k, n_lag=n_lag, values=a),
-    )
+    q, a = _window(params, y_t, t, j, strict)
+    return PosteriorSlice(t=t, j=j, k=config.k, n_lag=min(t - 1, config.h), values=q), a
 
 
 def peel(q_inner: PosteriorSlice, q_next: PosteriorSlice, strict: bool = False) -> PosteriorSlice:
@@ -244,134 +205,97 @@ def peel(q_inner: PosteriorSlice, q_next: PosteriorSlice, strict: bool = False) 
         )
     if q_next.t - q_next.n_lag < q_inner.t - q_inner.n_lag:
         raise ValueError("misaligned windows: q_next conditions on states outside q_inner's window")
-    vals = _peel(q_inner.values, q_next.values, q_inner.k, strict)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = _peel(q_inner.values, q_next.values, q_inner.k, strict)
     return PosteriorSlice(
         t=q_inner.t, j=q_inner.j - 1, k=q_inner.k, n_lag=q_inner.n_lag, values=vals
     )
 
 
-class _BatchedConditionals:
-    """Vectorized full conditionals for the homogeneous interior occasions.
-
-    For h + 1 <= t <= T - h every window has the same shape and uses only the
-    homogeneous transitions, so the numerators for a block of occasions build
-    as one array operation per chaining step. Blocks materialize on demand,
-    highest occasions first, keeping peak extra memory at O(block * k**(2h+1)).
-    """
-
-    def __init__(self, params, F, lo, hi, strict, block=4096):
-        k, h = params.k, params.h
-        self._k, self._h = k, h
-        self._F = F
-        self._lo, self._hi = lo, hi
-        self._strict = strict
-        self._block = block
-        self._pi_flat = params.prior_vector(h + 1)
-        self._tiled = [np.tile(self._pi_flat, k**l) for l in range(1, h + 1)]
-        self._cache = None
-        self._cache_lo = hi + 1
-
-    def take(self, t: int) -> np.ndarray:
-        if t < self._cache_lo:
-            self._fill(max(self._lo, t - self._block + 1), t)
-        return self._cache[t - self._cache_lo]
-
-    def _fill(self, a: int, b: int) -> None:
-        k, h = self._k, self._h
-        A = np.tile(self._F[a - 1 : b, :], (1, k**h)) * self._pi_flat
-        for l in range(1, h + 1):
-            A = np.repeat(A, k, axis=1) * self._tiled[l - 1]
-        A4 = A.reshape(b - a + 1, k**h, k, k**h)
-        C = A4.sum(axis=2, keepdims=True)
-        if C.min() > 0:
-            Q = A4 / C
-        elif self._strict:
-            raise StructuralZeroError("zero normalizing constant in the interior pass")
-        else:
-            Q = np.divide(A4, C, out=np.zeros_like(A4), where=C > 0)
-        self._cache = Q.reshape(b - a + 1, -1)
-        self._cache_lo = a
-
-
-def backward_pass(
-    params: ParameterSet, config: ModelConfig, y, strict: bool = False
-) -> list[PosteriorSlice]:
-    """Target slices q(u_t | previous window states, all data) for t = 1..T.
+def backward_pass(params: ParameterSet, config: ModelConfig, y, strict: bool = False) -> np.ndarray:
+    """Target slices q(u_t | previous h states, all data) as a (T, k**h, k) array.
 
     The final occasion comes straight from Bayes; every earlier occasion
-    builds its full conditional with j = min(T - t, h) future states and peels
-    the future states off one at a time. All stored values are bounded
-    conditional probabilities, so no rescaling is applied anywhere.
+    builds its full conditional with j = min(T - t, h) future states and
+    peels the future states off one at a time. The interior occasions
+    h + 1 <= t <= T - h share one window shape and the homogeneous
+    transitions, so their conditionals build in blocks, highest occasions
+    first; the boundary occasions build one at a time. All stored values are
+    bounded conditional probabilities, so no rescaling is applied anywhere.
     """
     _check_compat(params, config)
     y_arr = as_array(y)
     k, h = config.k, config.h
     T = y_arr.size
     F = emission_matrix(y_arr, params.sigma)
-
-    if h == 0:
-        # serially independent regimes: every occasion is one Bayes update
-        W = F * params.pi[0]
-        c = W.sum(axis=1, keepdims=True)
-        if c.min() > 0:
-            Q = W / c
-        elif strict:
-            raise StructuralZeroError("zero normalizing constant in the independent pass")
-        else:
-            Q = np.divide(W, c, out=np.zeros_like(W), where=c > 0)
-        return [PosteriorSlice(t=t, j=0, k=k, n_lag=0, values=Q[t - 1]) for t in range(1, T + 1)]
-
-    slices: list[PosteriorSlice] = [None] * T  # type: ignore[list-item]
-    q, _ = _full_conditional(params, F[T - 1], T, 0, strict)
-    slices[T - 1] = PosteriorSlice(t=T, j=0, k=k, n_lag=min(T - 1, h), values=q)
-    if T == 1:
-        return slices
-
+    P = _prior_stack(params)
+    Q = np.empty((T, k**h, k))
+    flat = Q.reshape(T, -1)
     lo, hi = h + 1, T - h
-    batch = _BatchedConditionals(params, F, lo, hi, strict) if h >= 1 and lo <= hi else None
-    for t in range(T - 1, 0, -1):
-        jmax = min(T - t, h)
-        if batch is not None and lo <= t <= hi:
-            vals = batch.take(t)
-        else:
-            vals, _ = _full_conditional(params, F[t - 1], t, jmax, strict)
-        for j in range(jmax - 1, -1, -1):
-            vals = _peel(vals, slices[t + j].values, k, strict)
-        slices[t - 1] = PosteriorSlice(t=t, j=0, k=k, n_lag=min(t - 1, h), values=vals)
-    return slices
+    t = T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while t >= 1:
+            a = max(lo, t - _BLOCK + 1) if lo <= t <= hi else t
+            j = min(T - t, h)
+            block = _conditionals(F[a - 1 : t], _block_priors(P, a, j), k, h, strict)[0]
+            if h == 0:
+                # nothing to peel: the conditionals are the slices
+                flat[a - 1 : t] = block
+            else:
+                for s in range(t, a - 1, -1):
+                    vals = block[s - a]
+                    for jj in range(min(T - s, h) - 1, -1, -1):
+                        vals = _peel(vals, flat[s + jj], k, strict)
+                    flat[s - 1] = vals
+            t = a - 1
+    return Q
 
 
-def forward_joint_pass(slices: list[PosteriorSlice], config: ModelConfig) -> list[SmoothedJoint]:
+def forward_joint_pass(slices, config: ModelConfig) -> np.ndarray:
     """Chain the target slices into joint window posteriors, front to back.
 
-    The first joint is the slice at t = 1 itself; while the window is still
-    growing the previous joint is extended by one variable, and once it is
-    full the oldest variable is summed out before extending.
+    Returns a (T, k**h, k) array whose block t-1 is the joint posterior of
+    (u_{t-h}, ..., u_t) in the layout of the slices, with the lags before the
+    series start pinned to index 0. Each joint is its slice times the mass
+    carried over the lags, which is the previous joint with its oldest
+    variable summed out.
     """
     k, h = config.k, config.h
-    T = len(slices)
+    Q = np.asarray(slices, dtype=float)
     if h == 0:
         # the posterior factorizes over occasions, so each joint is its slice
-        return [SmoothedJoint(t=s.t, k=k, n_vars=1, values=s.values) for s in slices]
-    joints: list[SmoothedJoint] = []
-    prev = slices[0].values
-    joints.append(SmoothedJoint(t=1, k=k, n_vars=1, values=prev))
-    for t in range(2, T + 1):
-        cond = slices[t - 1].values
-        carried = prev if t <= h + 1 else prev.reshape(k, -1).sum(axis=0)
-        vals = (cond.reshape(carried.size, k) * carried[:, None]).reshape(-1)
-        joints.append(SmoothedJoint(t=t, k=k, n_vars=min(t, h + 1), values=vals))
-        prev = vals
-    return joints
+        return Q.copy()
+    J = np.empty_like(Q)
+    carried = np.zeros(k**h)
+    carried[0] = 1.0
+    for t in range(Q.shape[0]):
+        J[t] = Q[t] * carried[:, None]
+        carried = J[t].reshape(k, -1).sum(axis=0)
+    return J
 
 
-def state_marginals(joints: list[SmoothedJoint]) -> np.ndarray:
+def state_marginals(joints) -> np.ndarray:
     """Posterior probability of each state at each occasion; rows sum to one."""
-    k = joints[0].k
-    out = np.empty((len(joints), k))
-    for i, joint in enumerate(joints):
-        out[i] = joint.values.reshape(-1, k).sum(axis=0)
-    return out
+    return np.asarray(joints).sum(axis=1)
+
+
+def check_posteriors(slices, joints=None, atol: float = _ENTRY_TOL) -> None:
+    """Raise ValueError if the posterior arrays break the paper's invariants.
+
+    Every entry must lie in [0, 1], every conditional row of the slices must
+    sum to one over u_t, and the joint of every occasion must sum to one. The
+    message names the first offending occasion.
+    """
+    checks = [("slice", np.asarray(slices), 2)]
+    if joints is not None:
+        checks.append(("joint", np.asarray(joints), (1, 2)))
+    for name, arr, axes in checks:
+        T = arr.shape[0]
+        outside = ((arr < -atol) | (arr > 1.0 + atol)).reshape(T, -1).any(axis=1)
+        drift = (np.abs(arr.sum(axis=axes) - 1.0) > atol).reshape(T, -1).any(axis=1)
+        for hit, what in ((outside, "has entries outside [0, 1]"), (drift, "does not sum to one")):
+            if hit.any():
+                raise ValueError(f"{name} at t={int(np.argmax(hit)) + 1} {what}")
 
 
 def local_decode(marginals) -> np.ndarray:
@@ -385,22 +309,14 @@ def _reference_loglik(params, config, y_arr, slices, ref) -> float | None:
     k, h = config.k, config.h
     T = y_arr.size
     s0 = np.asarray(ref, dtype=np.int64) - 1
-    f_vals = emission_matrix(y_arr, params.sigma)[np.arange(T), s0]
-    p_vals = np.empty(T)
-    q_vals = np.empty(T)
-    if T > h:
-        windows = sliding_window_view(s0, h + 1)
-        pows = k ** np.arange(h, -1, -1)
-        idx = windows @ pows
-        p_vals[h:] = params.prior_vector(h + 1)[idx]
-        stacked = np.stack([slices[t - 1].values for t in range(h + 1, T + 1)])
-        q_vals[h:] = stacked[np.arange(T - h), idx]
-    for t in range(1, min(h, T) + 1):
-        flat = 0
-        for digit in s0[:t]:
-            flat = flat * k + int(digit)
-        p_vals[t - 1] = params.prior_vector(t)[flat]
-        q_vals[t - 1] = slices[t - 1].values[flat]
+    occ = np.arange(T)
+    f_vals = emission_matrix(y_arr, params.sigma)[occ, s0]
+    # padding the path with h leading zeros gives every occasion a full
+    # window index into the padded layout
+    padded = np.concatenate([np.zeros(h, dtype=np.int64), s0])
+    idx = sliding_window_view(padded, h + 1) @ (k ** np.arange(h, -1, -1))
+    p_vals = _prior_stack(params)[np.minimum(occ, h), idx]
+    q_vals = np.asarray(slices).reshape(T, -1)[occ, idx]
     if np.any(q_vals <= 0.0) or np.any(p_vals <= 0.0) or np.any(f_vals <= 0.0):
         return None
     return float(np.log(f_vals).sum() + np.log(p_vals).sum() - np.log(q_vals).sum())
@@ -463,16 +379,17 @@ def predict(params: ParameterSet, config: ModelConfig, history) -> Prediction:
     """Predict the next latent state and the distribution of the next observation.
 
     history is either a decoded state path (1-based labels, at least the last
-    min(T, h) states) or the list of backward-pass slices, in which case local
-    decoding runs first. Past the chain order the conditional posterior of the
-    next state given the fixed window is just its transition row.
+    min(T, h) states) or the (T, k**h, k) array of backward-pass slices, in
+    which case local decoding runs first. Past the chain order the
+    conditional posterior of the next state given the fixed window is just
+    its transition row.
     """
     _check_compat(params, config)
-    seq = list(history)
-    if seq and isinstance(seq[0], PosteriorSlice):
-        states = local_decode(state_marginals(forward_joint_pass(seq, config)))
+    hist = np.asarray(history)
+    if hist.ndim == 3:
+        states = local_decode(state_marginals(forward_joint_pass(hist, config)))
     else:
-        states = np.asarray(seq, dtype=np.int64).reshape(-1)
+        states = hist.astype(np.int64).reshape(-1)
     k, h = config.k, config.h
     if states.size and (states.min() < 1 or states.max() > k):
         raise ValueError(f"state labels must lie in 1..{k}")

@@ -15,11 +15,13 @@ from hmmsv import (
     EMSettings,
     ModelConfig,
     ParameterSet,
+    PosteriorSlice,
     backward_pass,
     bic,
     brute_force_joint,
     bw_backward,
     bw_posteriors,
+    check_posteriors,
     e_step,
     fit,
     forward_joint_pass,
@@ -101,10 +103,11 @@ def test_c3_brute_force_equivalence():
             joint = exact.window_posterior(list(range(t - n_lag, t + 1))).reshape(k**n_lag, k)
             lag = joint.sum(axis=1, keepdims=True)
             cond = np.divide(joint, lag, out=np.zeros_like(joint), where=lag > 0)
-            assert np.abs(slices[t - 1].values - cond.reshape(-1)).max() < 1e-10
+            assert np.abs(slices[t - 1, : k**n_lag].reshape(-1) - cond.reshape(-1)).max() < 1e-10
             n_vars = min(t, h + 1)
             window = list(range(t - n_vars + 1, t + 1))
-            assert np.abs(joints[t - 1].values - exact.window_posterior(window)).max() < 1e-10
+            joint_t = joints[t - 1, : k ** (n_vars - 1)].reshape(-1)
+            assert np.abs(joint_t - exact.window_posterior(window)).max() < 1e-10
             assert np.abs(marginals[t - 1] - exact.window_posterior([t])).max() < 1e-10
         ll = log_likelihood(params, config, y, slices)
         assert abs(ll - exact.loglik) < 1e-10
@@ -126,7 +129,7 @@ def test_c4_forward_backward_equivalence():
         bw_marg, bw_pair = bw_posteriors(tables)
         assert np.abs(marginals - bw_marg).max() < 1e-8
         for t in range(2, T + 1):
-            assert np.abs(joints[t - 1].values - bw_pair[t - 2].reshape(-1)).max() < 1e-8
+            assert np.abs(joints[t - 1].reshape(-1) - bw_pair[t - 2].reshape(-1)).max() < 1e-8
         ll = log_likelihood(params, config, y, slices)
         assert abs(ll - tables.loglik) < 1e-8
 
@@ -144,13 +147,14 @@ def test_c5_long_series_stability():
 
     slices = backward_pass(params, config, series)
     joints = forward_joint_pass(slices, config)
-    tol = 1e-10  # the slice containers promise entries in [0, 1] at this slack
-    for s in slices:
-        assert s.values.min() >= 0.0 and s.values.max() <= 1.0 + tol
-        s.check()
-    for j in joints:
-        assert j.values.min() >= 0.0 and j.values.max() <= 1.0 + tol
-        j.check()
+    tol = 1e-10  # the posterior arrays promise entries in [0, 1] at this slack
+    assert slices.min() >= 0.0 and slices.max() <= 1.0 + tol
+    assert joints.min() >= 0.0 and joints.max() <= 1.0 + tol
+    check_posteriors(slices, joints, atol=tol)
+
+    def target(t):
+        n_lag = min(t - 1, config.h)
+        return PosteriorSlice(t=t, j=0, k=config.k, n_lag=n_lag, values=slices[t - 1, : config.k**n_lag])
 
     # walk the per-operation route for a stretch of occasions so the
     # intermediate windowed conditionals and every peel stage are inspected
@@ -159,9 +163,9 @@ def test_c5_long_series_stability():
         stage, _ = windowed_full_conditional(params, config, series.y[t - 1], t, jmax)
         assert stage.values.min() >= 0.0 and stage.values.max() <= 1.0 + tol
         for j in range(jmax - 1, -1, -1):
-            stage = peel(stage, slices[t + j])
+            stage = peel(stage, target(t + j + 1))
             assert stage.values.min() >= 0.0 and stage.values.max() <= 1.0 + tol
-        assert np.abs(stage.values - slices[t - 1].values).max() < 1e-12
+        assert np.abs(stage.values - target(t).values).max() < 1e-12
 
     ll = log_likelihood(params, config, series, slices)
     assert math.isfinite(ll)

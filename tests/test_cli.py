@@ -60,6 +60,15 @@ def test_ingest_rejects_non_numeric_rows_with_lines(tmp_path):
     assert "2" in str(err.value) and "4" in str(err.value)
 
 
+def test_ingest_rejects_column_index_out_of_range(tmp_path, capsys):
+    path = write(tmp_path / "two_col.csv", "date,close\n2020-01-01,100\n2020-01-02,105\n2020-01-03,103\n")
+    with pytest.raises(CLIError, match=r"column index 5 is out of range: the file has 2 column"):
+        ingest(path, column=5)
+    assert main(["fit", "--input", path, "--column", "5", "--h", "1", "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "column index 5" in err and "line" not in err
+
+
 def test_ingest_missing_and_empty(tmp_path):
     with pytest.raises(CLIError):
         ingest(tmp_path / "absent.csv")

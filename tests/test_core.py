@@ -35,8 +35,6 @@ def test_config_rejects_bad_values():
         ModelConfig(k=0, h=1)
     with pytest.raises(ValueError):
         ModelConfig(k=2, h=-1)
-    with pytest.raises(ValueError):
-        ModelConfig(k=2, h=1, emission="poisson")
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_e_step_single_state(rng):
     params = ParameterSet(early=(np.array([[1.0]]),), pi=np.array([[1.0]]), sigma=np.array([2.0]))
     counts, ll = e_step(params, config, rng.normal(0, 2, size=10))
     assert np.allclose(counts.w_hat, 1.0)
-    assert all(np.allclose(z, 1.0) for z in counts.z_hat)
+    assert np.allclose(counts.z_hat, 1.0)
     assert math.isfinite(ll)
 
 
@@ -53,7 +53,7 @@ def test_e_step_matches_scaled_smoother(rng):
     marg, pair = bw_posteriors(tables)
     assert np.abs(counts.w_hat - marg).max() < 1e-10
     for t in range(2, 41):
-        assert np.abs(counts.z_hat[t - 1] - pair[t - 2].reshape(-1)).max() < 1e-10
+        assert np.abs(counts.z_hat[t - 1].reshape(-1) - pair[t - 2].reshape(-1)).max() < 1e-10
     assert ll == pytest.approx(tables.loglik, abs=1e-9)
 
 
@@ -64,7 +64,8 @@ def test_e_step_matches_enumeration(rng):
     for t in range(1, 6):
         n_vars = min(t, 3)
         window = list(range(t - n_vars + 1, t + 1))
-        assert np.abs(counts.z_hat[t - 1] - exact.window_posterior(window)).max() < 1e-10
+        z = counts.z_hat[t - 1, : 2 ** (n_vars - 1)].reshape(-1)
+        assert np.abs(z - exact.window_posterior(window)).max() < 1e-10
         assert np.abs(counts.w_hat[t - 1] - exact.window_posterior([t])).max() < 1e-10
     assert ll == pytest.approx(exact.loglik, abs=1e-10)
 
@@ -92,7 +93,7 @@ def test_m_step_all_weight_on_first_state(rng):
     T = y.size
     w = np.zeros((T, 2))
     w[:, 0] = 1.0
-    counts = ExpectedCounts(w_hat=w, z_hat=tuple(w[t] for t in range(T)))
+    counts = ExpectedCounts(w_hat=w, z_hat=w.reshape(T, 1, 2))
     prev = random_parameters(2, 0, rng)
     with pytest.warns(DegenerateStateWarning):
         updated = m_step(counts, y, config, prev=prev)
@@ -109,12 +110,11 @@ def test_m_step_deterministic_path_gives_indicators(rng):
     T = path.size
     w = np.zeros((T, 2))
     w[np.arange(T), path - 1] = 1.0
-    z = [w[0]]
+    z = np.zeros((T, 2, 2))
+    z[0, 0] = w[0]
     for t in range(1, T):
-        slab = np.zeros((2, 2))
-        slab[path[t - 1] - 1, path[t] - 1] = 1.0
-        z.append(slab.reshape(-1))
-    counts = ExpectedCounts(w_hat=w, z_hat=tuple(z))
+        z[t, path[t - 1] - 1, path[t] - 1] = 1.0
+    counts = ExpectedCounts(w_hat=w, z_hat=z)
     updated = m_step(counts, y=rng.normal(size=T), config=config)
     assert np.allclose(updated.early[0][0], [1.0, 0.0])
     # visited transitions become counts-proportional rows; the path visits
@@ -129,8 +129,11 @@ def test_m_step_unvisited_rows_become_uniform(rng):
     T = path.size
     w = np.zeros((T, 2))
     w[np.arange(T), path - 1] = 1.0
-    z = [w[0]] + [np.outer(w[t - 1], w[t]).reshape(-1) for t in range(1, T)]
-    counts = ExpectedCounts(w_hat=w, z_hat=tuple(z))
+    z = np.zeros((T, 2, 2))
+    z[0, 0] = w[0]
+    for t in range(1, T):
+        z[t] = np.outer(w[t - 1], w[t])
+    counts = ExpectedCounts(w_hat=w, z_hat=z)
     with pytest.warns(DegenerateStateWarning):
         updated = m_step(counts, rng.normal(size=T), config, prev=random_parameters(2, 1, rng))
     assert np.allclose(updated.pi[0], [1.0, 0.0])
@@ -144,7 +147,7 @@ def expected_complete_loglik(params, counts, y, config):
         for v in range(k):
             total += counts.w_hat[t - 1, v] * npdf_log(y[t - 1], params.sigma[v])
         table = params.transition(t).reshape(-1)
-        z = counts.z_hat[t - 1]
+        z = counts.z_hat[t - 1, : k ** min(t - 1, h)].reshape(-1)
         with np.errstate(divide="ignore"):
             logs = np.where(z > 0, np.log(np.where(table > 0, table, 1.0)), 0.0)
         total += float((z * logs).sum())
@@ -294,6 +297,17 @@ def test_grid_records_failed_cells(rng):
     assert out.selected == (0, 1)
     with pytest.raises(EstimationError):
         grid_search(y, [-1], [1], EMSettings(n_starts=1))
+
+
+def test_grid_propagates_programming_errors(rng, monkeypatch):
+    import hmmsv.estimator
+
+    def broken_fit(*args, **kwargs):
+        raise TypeError("broken fit")
+
+    monkeypatch.setattr(hmmsv.estimator, "fit", broken_fit)
+    with pytest.raises(TypeError, match="broken fit"):
+        grid_search(rng.normal(size=30), [0, 1], [1, 2], EMSettings(n_starts=1))
 
 
 def test_grid_selects_true_order_small(rng):

@@ -14,6 +14,7 @@ from hmmsv import (
     brute_force_joint,
     bw_backward,
     bw_posteriors,
+    check_posteriors,
     forward_joint_pass,
     local_decode,
     log_likelihood,
@@ -23,6 +24,7 @@ from hmmsv import (
     terminal_posterior,
     windowed_full_conditional,
 )
+from hmmsv.tensors import marginalize
 
 from conftest import random_instance, random_parameters
 
@@ -79,7 +81,7 @@ def test_terminal_first_order_matches_direct_bayes():
         expected[2 * prev] = num[0] / c
         expected[2 * prev + 1] = num[1] / c
     assert np.allclose(out.values, expected, atol=1e-14)
-    out.check()
+    check_posteriors(out.values.reshape(1, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def test_windowed_single_state():
     config = ModelConfig(k=1, h=2)
     q, num = windowed_full_conditional(single_state_params(2), config, 0.2, t=4, j=2)
     assert np.allclose(q.values, 1.0)
-    assert num.values.shape == (1,)
+    assert num.shape == (1,)
 
 
 def test_windowed_interior_first_order_formula(rng):
@@ -111,7 +113,7 @@ def test_windowed_interior_first_order_formula(rng):
                 expected[4 * prev + 2 * v + nxt] = nums[v] / c
     assert np.allclose(q.values, expected, atol=1e-14)
     # the normalizer marginalizes the numerator over u_t
-    norm = num.normalizer().reshape(2, 2)
+    norm = marginalize(num, 2, 2).reshape(2, 2)
     for prev in range(2):
         for nxt in range(2):
             direct = sum(
@@ -194,7 +196,7 @@ def test_peel_reproduces_exact_conditional(rng):
     y = rng.normal(0, 1.5, size=3)
     exact = brute_force_joint(params, config, y)
     slices = backward_pass(params, config, y)
-    assert np.allclose(slices[1].values, brute_conditional(exact, 2, 1, 2), atol=1e-12)
+    assert np.allclose(slices[1].reshape(-1), brute_conditional(exact, 2, 1, 2), atol=1e-12)
 
 
 def test_peel_uniform_transitions_reduce_to_bayes(rng):
@@ -212,7 +214,7 @@ def test_peel_uniform_transitions_reduce_to_bayes(rng):
     for t, s in enumerate(slices, start=1):
         f = np.array([npdf(y[t - 1], sv) for sv in params.sigma])
         bayes = f / f.sum()
-        assert np.allclose(s.values.reshape(-1, k), bayes, atol=1e-12)
+        assert np.allclose(s, bayes, atol=1e-12)
 
 
 def test_peel_alignment_errors(rng):
@@ -236,7 +238,7 @@ def test_backward_pass_single_occasion(rng):
     slices = backward_pass(params, config, y)
     assert len(slices) == 1
     num = np.array([params.early[0][0, v] * npdf(y[0], params.sigma[v]) for v in range(2)])
-    assert np.allclose(slices[0].values, num / num.sum(), atol=1e-14)
+    assert np.allclose(slices[0, :1].reshape(-1), num / num.sum(), atol=1e-14)
 
 
 def test_backward_pass_matches_scaled_smoother(rng):
@@ -245,10 +247,10 @@ def test_backward_pass_matches_scaled_smoother(rng):
     y = rng.normal(0, 2, size=5)
     slices = backward_pass(params, config, y)
     marg, pair = bw_posteriors(bw_backward(params, config, y))
-    assert np.allclose(slices[0].values, marg[0], atol=1e-10)
+    assert np.allclose(slices[0, :1].reshape(-1), marg[0], atol=1e-10)
     for t in range(2, 6):
         cond = pair[t - 2] / marg[t - 2][:, None]
-        assert np.allclose(slices[t - 1].values, cond.reshape(-1), atol=1e-10)
+        assert np.allclose(slices[t - 1].reshape(-1), cond.reshape(-1), atol=1e-10)
 
 
 def test_backward_pass_second_order_matches_enumeration(rng):
@@ -258,8 +260,9 @@ def test_backward_pass_second_order_matches_enumeration(rng):
     exact = brute_force_joint(params, config, y)
     slices = backward_pass(params, config, y)
     for t in range(1, 7):
-        assert np.allclose(slices[t - 1].values, brute_conditional(exact, t, 2, 3), atol=1e-10)
-        slices[t - 1].check()
+        got = slices[t - 1, : 3 ** min(t - 1, 2)].reshape(-1)
+        assert np.allclose(got, brute_conditional(exact, t, 2, 3), atol=1e-10)
+    check_posteriors(slices)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -269,10 +272,10 @@ def test_backward_pass_matches_enumeration_property(seed):
     exact = brute_force_joint(params, config, y)
     slices = backward_pass(params, config, y)
     for t in range(1, y.size + 1):
-        got = slices[t - 1].values
+        got = slices[t - 1, : config.k ** min(t - 1, config.h)].reshape(-1)
         want = brute_conditional(exact, t, config.h, config.k)
         assert np.abs(got - want).max() < 1e-10
-        slices[t - 1].check()
+    check_posteriors(slices)
 
 
 def test_backward_pass_handles_structural_zeros():
@@ -288,9 +291,9 @@ def test_backward_pass_handles_structural_zeros():
     slices = backward_pass(params, config, y)
     exact = brute_force_joint(params, config, y)
     for t in range(1, 5):
-        got = slices[t - 1].values
-        assert np.all(got >= 0.0) and np.all(got <= 1.0 + 1e-10)
         n_lag = min(t - 1, 1)
+        got = slices[t - 1, : 2**n_lag].reshape(-1)
+        assert np.all(got >= 0.0) and np.all(got <= 1.0 + 1e-10)
         joint = exact.window_posterior(list(range(t - n_lag, t + 1))).reshape(-1, 2)
         lag_mass = joint.sum(axis=1)
         want = brute_conditional(exact, t, 1, 2).reshape(-1, 2)
@@ -301,7 +304,7 @@ def test_backward_pass_handles_structural_zeros():
     for t in range(1, 5):
         n_vars = min(t, 2)
         assert np.allclose(
-            joints[t - 1].values,
+            joints[t - 1, : 2 ** (n_vars - 1)].reshape(-1),
             exact.window_posterior(list(range(t - n_vars + 1, t + 1))),
             atol=1e-12,
         )
@@ -319,26 +322,26 @@ def test_forward_first_joint_is_first_slice(rng):
     config, params, y = random_instance(11, k=3, h=2, T=5)
     slices = backward_pass(params, config, y)
     joints = forward_joint_pass(slices, config)
-    assert np.allclose(joints[0].values, slices[0].values)
+    assert np.allclose(joints[0, :1], slices[0, :1])
 
 
 def test_forward_single_state_chain():
     config = ModelConfig(k=1, h=2)
     slices = backward_pass(single_state_params(2), config, np.array([0.1, 0.2, 0.3]))
     joints = forward_joint_pass(slices, config)
-    for j in joints:
-        assert np.allclose(j.values, 1.0)
+    assert np.allclose(joints, 1.0)
 
 
 def test_forward_pairwise_match_scaled_smoother(rng):
     config = ModelConfig(k=2, h=1)
     params = random_parameters(2, 1, rng)
     y = rng.normal(0, 2, size=5)
-    joints = forward_joint_pass(backward_pass(params, config, y), config)
+    slices = backward_pass(params, config, y)
+    joints = forward_joint_pass(slices, config)
     marg, pair = bw_posteriors(bw_backward(params, config, y))
     for t in range(2, 6):
-        assert np.allclose(joints[t - 1].values, pair[t - 2].reshape(-1), atol=1e-10)
-        joints[t - 1].check()
+        assert np.allclose(joints[t - 1].reshape(-1), pair[t - 2].reshape(-1), atol=1e-10)
+    check_posteriors(slices, joints)
 
 
 def test_forward_window_reduction_consistency(rng):
@@ -348,9 +351,46 @@ def test_forward_window_reduction_consistency(rng):
     joints = forward_joint_pass(backward_pass(params, config, y), config)
     k = 2
     for t in range(config.h + 1, 7):
-        left = joints[t - 1].values.reshape(k, -1).sum(axis=0)
-        right = joints[t].values.reshape(-1, k).sum(axis=1)
+        left = joints[t - 1].reshape(k, -1).sum(axis=0)
+        right = joints[t].reshape(-1, k).sum(axis=1)
         assert np.allclose(left, right, atol=1e-12)
+
+
+@pytest.mark.parametrize("k,h,T", [(2, 1, 5), (3, 2, 6), (2, 3, 7), (3, 3, 2)])
+def test_boundary_rows_replicate_slices_and_zero_joints(k, h, T):
+    config, params, y = random_instance(97 + h, k=k, h=h, T=T)
+    slices = backward_pass(params, config, y)
+    joints = forward_joint_pass(slices, config)
+    assert slices.shape == joints.shape == (T, k**h, k)
+    for t in range(1, min(h, T) + 1):
+        n = k ** (t - 1)
+        for r in range(n, k**h):
+            assert np.array_equal(slices[t - 1, r], slices[t - 1, r % n])
+        assert np.all(joints[t - 1, n:] == 0.0)
+
+
+def test_check_posteriors_flags_corruption(rng):
+    config, params, y = random_instance(5, k=3, h=2, T=8)
+    slices = backward_pass(params, config, y)
+    joints = forward_joint_pass(slices, config)
+    check_posteriors(slices, joints)
+
+    bad = slices.copy()
+    bad[4, 2, 1] = 1.5
+    with pytest.raises(ValueError, match="slice at t=5 has entries outside"):
+        check_posteriors(bad)
+    drifted = slices.copy()
+    drifted[6, 3] *= 0.9
+    with pytest.raises(ValueError, match="slice at t=7 does not sum to one"):
+        check_posteriors(drifted)
+    bad_joint = joints.copy()
+    bad_joint[2, 0, 0] = -0.01
+    with pytest.raises(ValueError, match="joint at t=3 has entries outside"):
+        check_posteriors(slices, bad_joint)
+    drifted_joint = joints.copy()
+    drifted_joint[5] *= 1.01
+    with pytest.raises(ValueError, match="joint at t=6 does not sum to one"):
+        check_posteriors(slices, drifted_joint)
 
 
 def test_state_marginals_match_oracles(rng):
