@@ -11,14 +11,12 @@ from .core import (
     ModelConfig,
     ObservationSeries,
     ParameterSet,
-    emission_density,
     emission_matrix,
     param_count,
     reorder_states,
     simulate,
     validate,
 )
-from .tensors import expand_broadcast, marginalize
 from .recursion import (
     PosteriorSlice,
     Prediction,
@@ -31,7 +29,6 @@ from .recursion import (
     peel,
     predict,
     state_marginals,
-    terminal_posterior,
     windowed_full_conditional,
 )
 from .oracle import (
@@ -64,14 +61,11 @@ __all__ = [
     "ModelConfig",
     "ObservationSeries",
     "ParameterSet",
-    "emission_density",
     "emission_matrix",
     "param_count",
     "reorder_states",
     "simulate",
     "validate",
-    "expand_broadcast",
-    "marginalize",
     "PosteriorSlice",
     "Prediction",
     "StructuralZeroError",
@@ -83,7 +77,6 @@ __all__ = [
     "peel",
     "predict",
     "state_marginals",
-    "terminal_posterior",
     "windowed_full_conditional",
     "BruteForceResult",
     "ForwardBackwardTables",

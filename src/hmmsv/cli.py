@@ -26,7 +26,7 @@ from .core import (
     simulate,
     validate,
 )
-from .estimator import EMSettings, FitResult, GridSearchResult, fit, grid_search
+from .estimator import EMSettings, EstimationError, FitResult, GridSearchResult, fit, grid_search
 from .recursion import backward_pass, forward_joint_pass, local_decode, predict, state_marginals
 
 
@@ -114,7 +114,7 @@ def ingest(path, column=None, prices: bool = False) -> ObservationSeries:
         if arr.size < 2:
             raise CLIError("empty series: need at least two prices to form returns")
         arr = 100.0 * np.log(arr[1:] / arr[:-1])
-    return ObservationSeries(arr, label=str(path))
+    return ObservationSeries(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +208,18 @@ def _csv_text(rows: list[list]) -> str:
 
 def _fmt_cell(x) -> str:
     if isinstance(x, (float, np.floating)):
-        return f"{_round10(x):.10g}"
+        return f"{float(x):.10g}"
     return str(x)
+
+
+def _table_csv(header: list[str], columns: list, n_int: int) -> str:
+    """CSV of equal-length numeric columns, the first n_int of them integers.
+
+    One %-format per row writes what csv.writer writes with _fmt_cell cells:
+    floats as "%.10g", and no field that needs quoting.
+    """
+    fmt = ",".join(["%d"] * n_int + ["%.10g"] * (len(columns) - n_int)) + "\n"
+    return ",".join(header) + "\n" + "".join([fmt % row for row in zip(*columns)])
 
 
 def _kv_rows(payload: dict) -> list[list]:
@@ -348,10 +358,8 @@ def _do_decode(args: argparse.Namespace) -> str:
     )
     if args.fmt == "json":
         return _json_text({"states": states, "marginals": marginals})
-    rows = [["t", "state"] + [f"q{v}" for v in range(1, config.k + 1)]]
-    for t in range(len(series)):
-        rows.append([t + 1, int(states[t])] + [_fmt_cell(x) for x in marginals[t]])
-    return _csv_text(rows)
+    header = ["t", "state"] + [f"q{v}" for v in range(1, config.k + 1)]
+    return _table_csv(header, [range(1, len(series) + 1), states.tolist(), *marginals.T.tolist()], 2)
 
 
 def _do_predict(args: argparse.Namespace) -> str:
@@ -375,10 +383,7 @@ def _do_simulate(args: argparse.Namespace) -> str:
     print(f"simulate: T={args.length} seed={args.seed}", file=sys.stderr)
     if args.fmt == "json":
         return _json_text({"states": states, "y": series.y})
-    rows = [["t", "state", "y"]]
-    for t in range(args.length):
-        rows.append([t + 1, int(states[t]), _fmt_cell(series.y[t])])
-    return _csv_text(rows)
+    return _table_csv(["t", "state", "y"], [range(1, args.length + 1), states.tolist(), series.y.tolist()], 2)
 
 
 _COMMANDS = {
@@ -398,7 +403,7 @@ def run(args: argparse.Namespace) -> int:
     except CLIError as exc:
         print(f"error: cli: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:
+    except (ValueError, EstimationError, OSError) as exc:
         print(f"error: {type(exc).__module__.split('.')[-1]}.{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

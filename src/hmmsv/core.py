@@ -1,4 +1,4 @@
-"""Model containers, emission density, parameter counting, and simulation for
+"""Model containers, emission densities, parameter counting, and simulation for
 discrete-volatility hidden Markov chains of arbitrary order.
 
 States are labeled 1..k throughout the public interface. Conditioning windows
@@ -87,10 +87,6 @@ class ParameterSet:
             return self.early[t - 1]
         return self.pi
 
-    def prior_vector(self, t: int) -> np.ndarray:
-        """transition(t) flattened in lexicographic window order."""
-        return self.transition(t).reshape(-1)
-
 
 def _check_compat(params: ParameterSet, config: ModelConfig) -> None:
     if params.k != config.k or params.h != config.h:
@@ -102,17 +98,12 @@ def _check_compat(params: ParameterSet, config: ModelConfig) -> None:
 
 @dataclass(frozen=True)
 class ObservationSeries:
-    """A finite series of percentage log-returns with an optional label."""
+    """A non-empty series of finite percentage log-returns, copied and frozen."""
 
     y: np.ndarray
-    label: str | None = None
 
     def __post_init__(self):
-        arr = np.array(self.y, dtype=float).reshape(-1)
-        if arr.size < 1:
-            raise ValueError("observation series must contain at least one value")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("observation series contains non-finite values")
+        arr = as_array(self.y).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "y", arr)
 
@@ -148,19 +139,8 @@ def param_count(config: ModelConfig) -> int:
     return k + (k - 1) * early_rows + (k - 1) * k**h
 
 
-def emission_density(y: float, v: int, params: ParameterSet) -> float:
-    """Zero-mean Gaussian density of one observation under state v (1-based)."""
-    if not math.isfinite(y):
-        raise ValueError(f"observation must be finite, got {y!r}")
-    if not 1 <= v <= params.k:
-        raise ValueError(f"state label {v} outside 1..{params.k}")
-    s = float(params.sigma[v - 1])
-    z = y / s
-    return _INV_SQRT_2PI / s * math.exp(-0.5 * z * z)
-
-
 def emission_matrix(y, sigma) -> np.ndarray:
-    """Densities f(y_t | v) as a (T, k) matrix."""
+    """Zero-mean Gaussian densities f(y_t | v) as a (T, k) matrix."""
     col = np.asarray(y, dtype=float).reshape(-1, 1)
     row = np.asarray(sigma, dtype=float).reshape(1, -1)
     z = col / row
@@ -255,7 +235,7 @@ def simulate(config: ModelConfig, params: ParameterSet, T: int, seed: int):
         if h > 0:
             window = (window * k + s) % mod
     y = rng.normal(0.0, params.sigma[states0])
-    return states0 + 1, ObservationSeries(y, label="simulated")
+    return states0 + 1, ObservationSeries(y)
 
 
 def reorder_states(params: ParameterSet, order) -> ParameterSet:

@@ -14,10 +14,11 @@ lead the row index, so rows [:k**(t-1)] read such an occasion. Conditionals
 repeat those rows over the missing lags; joints pin the missing lags to
 index 0 and are zero in every other row.
 
-The reference API (windowed_full_conditional, peel, terminal_posterior)
-returns PosteriorSlice windows over the real variables only:
+The reference API (windowed_full_conditional and peel) returns
+PosteriorSlice windows over the real variables only:
 (u_{t-n_lag}, ..., u_{t+j}) with n_lag = min(t - 1, h), flattened the same
-way, so u_t sits at window position n_lag + 1.
+way, so u_t sits at window position n_lag + 1. With j = 0 the full
+conditional is the target slice of the final occasion t = T.
 """
 
 from __future__ import annotations
@@ -79,10 +80,10 @@ def _prior_stack(params: ParameterSet) -> np.ndarray:
     leading lags they do not condition on, and the last row is pi.
     """
     k, h = params.k, params.h
-    return np.stack([np.tile(params.prior_vector(t), k ** (h + 1 - t)) for t in range(1, h + 2)])
+    return np.stack([np.tile(params.transition(t).reshape(-1), k ** (h + 1 - t)) for t in range(1, h + 2)])
 
 
-def _conditionals(F: np.ndarray, priors: np.ndarray, k: int, h: int, strict: bool):
+def _conditionals(F: np.ndarray, priors: np.ndarray, k: int, h: int):
     """Full conditionals and numerators for a block of occasions t.
 
     F holds the block's (n, k) emission rows. priors[l] is the padded prior
@@ -98,8 +99,6 @@ def _conditionals(F: np.ndarray, priors: np.ndarray, k: int, h: int, strict: boo
     c = a4.sum(axis=2, keepdims=True)
     if c.min() > 0:
         q = a4 / c
-    elif strict:
-        raise StructuralZeroError("zero normalizing constant in the conditional build")
     else:
         # configurations with no mass get conditional probability zero
         q = np.divide(a4, c, out=np.zeros_like(a4), where=c > 0)
@@ -111,7 +110,7 @@ def _block_priors(P: np.ndarray, t: int, j: int) -> np.ndarray:
     return P[np.minimum(np.arange(t - 1, t + j), P.shape[0] - 1)]
 
 
-def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int, strict: bool) -> np.ndarray:
+def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
     """Reciprocal-sum step removing the last future state from a window.
 
     Callers ignore floating-point over, divide and invalid warnings: a ratio
@@ -126,8 +125,6 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int, strict: bool) -> np.n
         if out.max() > 1.0 + _ENTRY_TOL:
             raise ValueError("peel produced entries outside [0, 1]; window inputs are inconsistent")
         return out
-    if strict:
-        raise StructuralZeroError("peel would divide by a zero conditional probability")
     ratio = q_next / blocks
     # zero-mass numerators contribute nothing; a positive numerator over a
     # zero denominator blows the sum up, collapsing the output to zero mass
@@ -140,37 +137,8 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int, strict: bool) -> np.n
     return np.minimum(np.where(np.isfinite(out), out, 0.0), 1.0)
 
 
-def _window(params: ParameterSet, y_t: float, t: int, j: int, strict: bool):
-    """Flat q and numerator over the real window (u_{t-n_lag}, ..., u_{t+j})."""
-    if t < 1:
-        raise ValueError(f"occasion index must be >= 1, got {t}")
-    if j < 0:
-        raise ValueError(f"look-ahead count must be >= 0, got {j}")
-    if not np.isfinite(y_t):
-        raise ValueError(f"observation must be finite, got {y_t!r}")
-    k, h = params.k, params.h
-    F = emission_matrix([y_t], params.sigma)
-    q, a = _conditionals(F, _block_priors(_prior_stack(params), t, j), k, h, strict)
-    # the padded lags before the series start sit at index 0, so the real
-    # window is the leading part of the padded one
-    size = k ** (min(t - 1, h) + j + 1)
-    return q[0, :size], a[0, :size]
-
-
-def terminal_posterior(
-    params: ParameterSet, config: ModelConfig, y_last: float, t: int, strict: bool = False
-) -> PosteriorSlice:
-    """Posterior of the final state given its window: Bayes with the transition prior.
-
-    t is the 1-based index of the final occasion, i.e. the series length.
-    """
-    _check_compat(params, config)
-    q, _ = _window(params, y_last, t, 0, strict)
-    return PosteriorSlice(t=t, j=0, k=config.k, n_lag=min(t - 1, config.h), values=q)
-
-
 def windowed_full_conditional(
-    params: ParameterSet, config: ModelConfig, y_t: float, t: int, j: int, strict: bool = False
+    params: ParameterSet, config: ModelConfig, y_t: float, t: int, j: int
 ) -> tuple[PosteriorSlice, np.ndarray]:
     """Full conditional of u_t given the surrounding window states and y_t alone.
 
@@ -181,11 +149,22 @@ def windowed_full_conditional(
     normalizer.
     """
     _check_compat(params, config)
-    q, a = _window(params, y_t, t, j, strict)
-    return PosteriorSlice(t=t, j=j, k=config.k, n_lag=min(t - 1, config.h), values=q), a
+    if t < 1:
+        raise ValueError(f"occasion index must be >= 1, got {t}")
+    if j < 0:
+        raise ValueError(f"look-ahead count must be >= 0, got {j}")
+    if not np.isfinite(y_t):
+        raise ValueError(f"observation must be finite, got {y_t!r}")
+    k, n_lag = config.k, min(t - 1, config.h)
+    F = emission_matrix([y_t], params.sigma)
+    q, a = _conditionals(F, _block_priors(_prior_stack(params), t, j), k, config.h)
+    # the padded lags before the series start sit at index 0, so the real
+    # window is the leading part of the padded one
+    size = k ** (n_lag + j + 1)
+    return PosteriorSlice(t=t, j=j, k=k, n_lag=n_lag, values=q[0, :size]), a[0, :size]
 
 
-def peel(q_inner: PosteriorSlice, q_next: PosteriorSlice, strict: bool = False) -> PosteriorSlice:
+def peel(q_inner: PosteriorSlice, q_next: PosteriorSlice) -> PosteriorSlice:
     """Remove the last future conditioning state from a windowed posterior.
 
     q_inner is the slice at occasion t conditioning on j + 1 future states;
@@ -206,13 +185,13 @@ def peel(q_inner: PosteriorSlice, q_next: PosteriorSlice, strict: bool = False) 
     if q_next.t - q_next.n_lag < q_inner.t - q_inner.n_lag:
         raise ValueError("misaligned windows: q_next conditions on states outside q_inner's window")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = _peel(q_inner.values, q_next.values, q_inner.k, strict)
+        vals = _peel(q_inner.values, q_next.values, q_inner.k)
     return PosteriorSlice(
         t=q_inner.t, j=q_inner.j - 1, k=q_inner.k, n_lag=q_inner.n_lag, values=vals
     )
 
 
-def backward_pass(params: ParameterSet, config: ModelConfig, y, strict: bool = False) -> np.ndarray:
+def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
     """Target slices q(u_t | previous h states, all data) as a (T, k**h, k) array.
 
     The final occasion comes straight from Bayes; every earlier occasion
@@ -237,7 +216,7 @@ def backward_pass(params: ParameterSet, config: ModelConfig, y, strict: bool = F
         while t >= 1:
             a = max(lo, t - _BLOCK + 1) if lo <= t <= hi else t
             j = min(T - t, h)
-            block = _conditionals(F[a - 1 : t], _block_priors(P, a, j), k, h, strict)[0]
+            block = _conditionals(F[a - 1 : t], _block_priors(P, a, j), k, h)[0]
             if h == 0:
                 # nothing to peel: the conditionals are the slices
                 flat[a - 1 : t] = block
@@ -245,7 +224,7 @@ def backward_pass(params: ParameterSet, config: ModelConfig, y, strict: bool = F
                 for s in range(t, a - 1, -1):
                     vals = block[s - a]
                     for jj in range(min(T - s, h) - 1, -1, -1):
-                        vals = _peel(vals, flat[s + jj], k, strict)
+                        vals = _peel(vals, flat[s + jj], k)
                     flat[s - 1] = vals
             t = a - 1
     return Q

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -6,8 +8,19 @@ import sys
 import numpy as np
 import pytest
 
-from hmmsv import CLIError, ModelConfig, ParameterSet, ingest, simulate
-from hmmsv.cli import load_params, main, params_payload, _json_text
+import hmmsv.cli
+from hmmsv import (
+    CLIError,
+    ModelConfig,
+    ParameterSet,
+    backward_pass,
+    forward_joint_pass,
+    ingest,
+    local_decode,
+    simulate,
+    state_marginals,
+)
+from hmmsv.cli import load_params, main, params_payload, _json_text, _table_csv
 
 from conftest import random_parameters
 
@@ -260,6 +273,61 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     rc = main(["fit", "--input", str(tmp_path / "none.csv"), "--h", "1", "--k", "2"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_propagates_programming_errors(tmp_path, sim_csv, capsys, monkeypatch):
+    # a model or input error is a diagnostic; a TypeError is a bug and surfaces
+    assert main(["fit", "--input", sim_csv, "--h", "1", "--k", "2", "--starts", "0"]) == 1
+    assert capsys.readouterr().err == "error: builtins.ValueError: n_starts must be positive\n"
+    out = str(tmp_path / "missing_dir" / "fit.json")
+    assert main(["fit", "--input", sim_csv, "--h", "0", "--k", "1", "--starts", "1", "--out", out]) == 1
+    assert "error: builtins.FileNotFoundError" in capsys.readouterr().err
+
+    def broken_fit(*args, **kwargs):
+        raise TypeError("broken fit")
+
+    monkeypatch.setattr(hmmsv.cli, "fit", broken_fit)
+    with pytest.raises(TypeError, match="broken fit"):
+        main(["fit", "--input", sim_csv, "--h", "1", "--k", "2"])
+
+
+def reference_csv(header, rows):
+    """csv.writer text with each float cell rounded to 10 digits, parsed back and written again."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{float(f'{x:.10g}'):.10g}" if isinstance(x, float) else x for x in row])
+    return buf.getvalue()
+
+
+def test_table_csv_matches_csv_writer_bytes():
+    values = [0.0, -0.0, 1.0, 1 - 1e-16, 5e-324, 1e-300, 0.1, 1e16, 0.123456789012345, -2.5e-7]
+    cols = [list(range(1, len(values) + 1)), [1 + i % 3 for i in range(len(values))], values, values[::-1]]
+    got = _table_csv(["t", "state", "q1", "q2"], cols, 2)
+    assert got == reference_csv(["t", "state", "q1", "q2"], zip(*cols))
+
+
+def test_decode_and_simulate_csv_bytes(tmp_path, capsys):
+    config = ModelConfig(k=3, h=2)
+    params = random_parameters(3, 2, np.random.default_rng(5))
+    params_file = tmp_path / "params.json"
+    params_file.write_text(_json_text(params_payload(config, params)))
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--params", str(params_file), "--length", "40", "--seed", "9", "--out", str(out)]) == 0
+    _, file_params = load_params(params_file)
+    states, series = simulate(config, file_params, 40, seed=9)
+    rows = zip(range(1, 41), states.tolist(), series.y.tolist())
+    assert out.read_text() == reference_csv(["t", "state", "y"], rows)
+
+    y_file = write(tmp_path / "y.csv", "\n".join(f"{v:.12g}" for v in series.y) + "\n")
+    dec = tmp_path / "dec.csv"
+    assert main(["decode", "--params", str(params_file), "--input", y_file, "--format", "csv", "--out", str(dec)]) == 0
+    y = ingest(y_file).y
+    marginals = state_marginals(forward_joint_pass(backward_pass(file_params, config, y), config))
+    rows = [(t + 1, int(s), *m) for t, (s, m) in enumerate(zip(local_decode(marginals), marginals.tolist()))]
+    assert dec.read_text() == reference_csv(["t", "state", "q1", "q2", "q3"], rows)
+    capsys.readouterr()
 
 
 def test_module_entry_point_help():

@@ -12,7 +12,7 @@ from hmmsv import (
     ObservationSeries,
     ParameterSet,
     brute_force_joint,
-    emission_density,
+    emission_matrix,
     param_count,
     reorder_states,
     simulate,
@@ -66,40 +66,29 @@ def test_param_count_matches_free_coordinates(h, k, rng):
 # emission density
 
 
+def density(y, s):
+    """Scalar entry of the emission matrix for one observation and one volatility."""
+    return float(emission_matrix([y], [s])[0, 0])
+
+
 def test_emission_standard_normal_mode():
-    params = make_params([], [[1.0]], [1.0])
-    assert emission_density(0.0, 1, params) == pytest.approx(0.3989422804014327, abs=1e-12)
+    assert density(0.0, 1.0) == pytest.approx(0.3989422804014327, abs=1e-12)
 
 
 def test_emission_one_sigma_ratio():
     for s in (0.3, 1.0, 4.2):
-        params = make_params([], [[1.0]], [s])
-        at_zero = emission_density(0.0, 1, params)
-        assert emission_density(s, 1, params) == pytest.approx(at_zero * math.exp(-0.5), rel=1e-12)
+        at_zero = density(0.0, s)
+        assert density(s, s) == pytest.approx(at_zero * math.exp(-0.5), rel=1e-12)
 
 
 def test_emission_frozen_value():
     # independent scalar evaluation of (2 pi s^2)^(-1/2) exp(-y^2 / (2 s^2))
-    params = make_params([], [[1.0]], [1.609])
-    assert emission_density(2.0, 1, params) == pytest.approx(0.1145108221189711, abs=1e-14)
-
-
-def test_emission_rejects_bad_input():
-    params = make_params([], [[0.5, 0.5]], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        emission_density(float("nan"), 1, params)
-    with pytest.raises(ValueError):
-        emission_density(float("inf"), 2, params)
-    with pytest.raises(ValueError):
-        emission_density(0.0, 0, params)
-    with pytest.raises(ValueError):
-        emission_density(0.0, 3, params)
+    assert density(2.0, 1.609) == pytest.approx(0.1145108221189711, abs=1e-14)
 
 
 @pytest.mark.parametrize("s", [0.2, 0.865, 1.609, 3.770])
 def test_emission_integrates_to_one(s):
-    params = make_params([], [[1.0]], [s])
-    total, _ = quad(lambda y: emission_density(y, 1, params), -10 * s, 10 * s)
+    total, _ = quad(lambda y: density(y, s), -10 * s, 10 * s)
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -107,10 +96,9 @@ def test_emission_integrates_to_one(s):
 @given(y=st.floats(-30, 30), s=st.floats(0.8, 20))
 @settings(deadline=None, max_examples=60)
 def test_emission_positive_and_symmetric(y, s):
-    params = make_params([], [[1.0]], [s])
-    d = emission_density(y, 1, params)
+    d = density(y, s)
     assert d > 0
-    assert d == pytest.approx(emission_density(-y, 1, params), rel=1e-12)
+    assert d == pytest.approx(density(-y, s), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +200,7 @@ def test_observation_series_validation():
         ObservationSeries(np.array([]))
     with pytest.raises(ValueError):
         ObservationSeries(np.array([1.0, np.inf]))
-    series = ObservationSeries([0.1, -0.2], label="x")
+    series = ObservationSeries([0.1, -0.2])
     assert series.T == 2 and len(series) == 2
 
 

@@ -21,10 +21,8 @@ from hmmsv import (
     peel,
     predict,
     state_marginals,
-    terminal_posterior,
     windowed_full_conditional,
 )
-from hmmsv.tensors import marginalize
 
 from conftest import random_instance, random_parameters
 
@@ -55,7 +53,7 @@ def brute_conditional(exact, t, h, k):
 
 def test_terminal_single_state():
     config = ModelConfig(k=1, h=1)
-    out = terminal_posterior(single_state_params(1), config, 0.3, t=4)
+    out = windowed_full_conditional(single_state_params(1), config, 0.3, t=4, j=0)[0]
     assert np.allclose(out.values, 1.0)
 
 
@@ -63,7 +61,7 @@ def test_terminal_h0_is_bayes_mixture(rng):
     config = ModelConfig(k=3, h=0)
     params = random_parameters(3, 0, rng)
     y_T = 1.1
-    out = terminal_posterior(params, config, y_T, t=5)
+    out = windowed_full_conditional(params, config, y_T, t=5, j=0)[0]
     num = np.array([params.pi[0, v] * npdf(y_T, params.sigma[v]) for v in range(3)])
     assert np.allclose(out.values, num / num.sum(), atol=1e-14)
 
@@ -73,7 +71,7 @@ def test_terminal_first_order_matches_direct_bayes():
     pi = np.array([[0.9, 0.1], [0.3, 0.7]])
     params = ParameterSet(early=(np.array([[0.6, 0.4]]),), pi=pi, sigma=np.array([0.8, 2.5]))
     y_T = -1.7
-    out = terminal_posterior(params, config, y_T, t=6)
+    out = windowed_full_conditional(params, config, y_T, t=6, j=0)[0]
     expected = np.empty(4)
     for prev in range(2):
         num = [npdf(y_T, params.sigma[v]) * pi[prev, v] for v in range(2)]
@@ -112,8 +110,8 @@ def test_windowed_interior_first_order_formula(rng):
             for v in range(2):
                 expected[4 * prev + 2 * v + nxt] = nums[v] / c
     assert np.allclose(q.values, expected, atol=1e-14)
-    # the normalizer marginalizes the numerator over u_t
-    norm = marginalize(num, 2, 2).reshape(2, 2)
+    # the normalizer sums the numerator over u_t
+    norm = num.reshape(2, 2, 2).sum(axis=1)
     for prev in range(2):
         for nxt in range(2):
             direct = sum(
@@ -185,7 +183,7 @@ def test_peel_single_state():
     config = ModelConfig(k=1, h=1)
     params = single_state_params(1)
     inner, _ = windowed_full_conditional(params, config, 0.5, t=2, j=1)
-    target = terminal_posterior(params, config, 0.1, t=3)
+    target = windowed_full_conditional(params, config, 0.1, t=3, j=0)[0]
     out = peel(inner, target)
     assert np.allclose(out.values, 1.0)
 
@@ -222,9 +220,12 @@ def test_peel_alignment_errors(rng):
     params = random_parameters(2, 1, rng)
     inner, _ = windowed_full_conditional(params, config, 0.4, t=2, j=1)
     with pytest.raises(ValueError):
-        peel(inner, terminal_posterior(params, config, 0.2, t=5))  # wrong occasion
+        peel(inner, windowed_full_conditional(params, config, 0.2, t=5, j=0)[0])  # wrong occasion
     with pytest.raises(ValueError):
-        peel(terminal_posterior(params, config, 0.2, t=3), terminal_posterior(params, config, 0.1, t=3))
+        peel(
+            windowed_full_conditional(params, config, 0.2, t=3, j=0)[0],
+            windowed_full_conditional(params, config, 0.1, t=3, j=0)[0],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +311,6 @@ def test_backward_pass_handles_structural_zeros():
         )
     ll = log_likelihood(params, config, y, slices)
     assert ll == pytest.approx(exact.loglik, abs=1e-10)
-    with pytest.raises(StructuralZeroError):
-        backward_pass(params, config, y, strict=True)
 
 
 # ---------------------------------------------------------------------------
