@@ -18,7 +18,6 @@ from .core import (
     validate,
 )
 from .recursion import (
-    PosteriorSlice,
     Prediction,
     StructuralZeroError,
     backward_pass,
@@ -43,7 +42,6 @@ from .estimator import (
     DegenerateStateWarning,
     EMSettings,
     EstimationError,
-    ExpectedCounts,
     FitResult,
     GridSearchResult,
     bic,
@@ -66,7 +64,6 @@ __all__ = [
     "reorder_states",
     "simulate",
     "validate",
-    "PosteriorSlice",
     "Prediction",
     "StructuralZeroError",
     "backward_pass",
@@ -87,7 +84,6 @@ __all__ = [
     "DegenerateStateWarning",
     "EMSettings",
     "EstimationError",
-    "ExpectedCounts",
     "FitResult",
     "GridSearchResult",
     "bic",

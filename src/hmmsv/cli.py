@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -88,13 +89,15 @@ def ingest(path, column=None, prices: bool = False) -> ObservationSeries:
     lines: list[int] = []
     bad: list[int] = []
     for line, row in rows:
-        if idx >= len(row):
-            bad.append(line)
-            continue
         try:
-            values.append(float(row[idx].strip()))
-            lines.append(line)
+            value = float(row[idx].strip()) if idx < len(row) else math.nan
         except ValueError:
+            value = math.nan
+        # float() also parses "nan" and "inf", which are not observations
+        if math.isfinite(value):
+            values.append(value)
+            lines.append(line)
+        else:
             bad.append(line)
     if bad:
         raise CLIError(
@@ -171,7 +174,7 @@ def load_params(path) -> tuple[ModelConfig, ParameterSet]:
     try:
         with open(p) as fh:
             data = json.load(fh)
-        config = ModelConfig(k=int(data["k"]), h=int(data["h"]))
+        config = ModelConfig(k=data["k"], h=data["h"])
         params = ParameterSet(
             early=tuple(
                 _repair_rows(np.asarray(tbl, dtype=float)) for tbl in data.get("early", [])

@@ -41,10 +41,10 @@ class ModelConfig:
     h: int
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not isinstance(self.h, (int, np.integer)) or self.h < 0:
-            raise ValueError(f"h must be a non-negative integer, got {self.h!r}")
+        for name, low, kind in (("k", 1, "positive"), ("h", 0, "non-negative")):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < low:
+                raise ValueError(f"{name} must be a {kind} integer, got {val!r}")
 
 
 @dataclass(frozen=True)

@@ -53,26 +53,6 @@ class EMSettings:
 
 
 @dataclass(frozen=True)
-class ExpectedCounts:
-    """Posterior expectations of the state and window indicator variables.
-
-    w_hat[t-1, v-1] is the smoothed probability of state v at occasion t;
-    z_hat is the (T, k**h, k) array of joint posteriors of the trailing
-    windows from forward_joint_pass, so z_hat[t-1, :k**(t-1)] is the joint of
-    (u_1, ..., u_t) for t <= h.
-    """
-
-    w_hat: np.ndarray
-    z_hat: np.ndarray
-
-    def __post_init__(self):
-        for name in ("w_hat", "z_hat"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Fitted parameters with the log-likelihood path and model criteria."""
 
@@ -86,13 +66,18 @@ class FitResult:
 
 
 def e_step(params: ParameterSet, config: ModelConfig, y):
-    """Posterior window expectations plus the log-likelihood at the current parameters."""
+    """Joint window posteriors and the log-likelihood at the current parameters.
+
+    Returns (joints, ll): joints is the (T, k**h, k) array of
+    forward_joint_pass, so joints[t-1, :k**(t-1)] is the joint of
+    (u_1, ..., u_t) for t <= h, and state_marginals(joints) gives the
+    smoothed state probabilities.
+    """
     y_arr = as_array(y)
     slices = backward_pass(params, config, y_arr)
     joints = forward_joint_pass(slices, config)
-    w_hat = state_marginals(joints)
     ll = log_likelihood(params, config, y_arr, slices)
-    return ExpectedCounts(w_hat=w_hat, z_hat=joints), ll
+    return joints, ll
 
 
 def _normalize_rows(z: np.ndarray, k: int) -> np.ndarray:
@@ -101,10 +86,8 @@ def _normalize_rows(z: np.ndarray, k: int) -> np.ndarray:
     return np.divide(z, totals, out=np.full_like(z, 1.0 / k), where=totals > 0)
 
 
-def m_step(
-    counts: ExpectedCounts, y, config: ModelConfig, prev: ParameterSet | None = None
-) -> ParameterSet:
-    """Closed-form update from the expected counts.
+def m_step(joints: np.ndarray, y, config: ModelConfig, prev: ParameterSet | None = None) -> ParameterSet:
+    """Closed-form update from the joint window posteriors of e_step.
 
     Volatilities become weighted root mean squares of the observations;
     transition rows are the normalized expected window counts, pooling all
@@ -115,7 +98,7 @@ def m_step(
     y_arr = as_array(y)
     k, h = config.k, config.h
     T = y_arr.size
-    w = counts.w_hat
+    w = state_marginals(joints)
     totals = w.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         sigma = np.sqrt((w.T @ (y_arr * y_arr)) / totals)
@@ -129,10 +112,10 @@ def m_step(
 
     early = []
     for t in range(1, h + 1):
-        z = counts.z_hat[t - 1, : k ** (t - 1)] if t <= T else np.zeros((k ** (t - 1), k))
+        z = joints[t - 1, : k ** (t - 1)] if t <= T else np.zeros((k ** (t - 1), k))
         early.append(_normalize_rows(z, k))
     # every occasion past h uses pi; the sum is zero when there are none
-    pi = _normalize_rows(counts.z_hat[h:].sum(axis=0), k)
+    pi = _normalize_rows(joints[h:].sum(axis=0), k)
     return ParameterSet(early=tuple(early), pi=pi, sigma=sigma)
 
 
@@ -169,24 +152,29 @@ def _initial_parameters(config: ModelConfig, y_arr, rng, quantile_start: bool) -
 
 
 def _run_em(params: ParameterSet, config: ModelConfig, y_arr, settings: EMSettings):
+    """EM from one start: at most max_iterations M-steps, each followed by an E-step.
+
+    converged is True when two consecutive log-likelihoods agree to
+    rel_tolerance before the M-steps run out, no step of the trace falls by
+    more than that tolerance, and every state keeps posterior weight.
+    """
+    tol = settings.rel_tolerance
     trace: list[float] = []
-    ll_prev = None
     converged = False
-    counts = None
-    for _ in range(settings.max_iterations):
-        counts, ll = e_step(params, config, y_arr)
+    for it in range(settings.max_iterations + 1):
+        joints, ll = e_step(params, config, y_arr)
         trace.append(ll)
-        if ll_prev is not None and abs(ll - ll_prev) <= settings.rel_tolerance * max(1.0, abs(ll_prev)):
+        if it == settings.max_iterations:
+            break
+        if it and abs(ll - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
             converged = True
             break
-        ll_prev = ll
-        params = m_step(counts, y_arr, config, prev=params)
-    else:
-        counts, ll = e_step(params, config, y_arr)
-        trace.append(ll)
-    if np.any(counts.w_hat.sum(axis=0) < _EMPTY_STATE_TOL):
+        params = m_step(joints, y_arr, config, prev=params)
+    lls = np.asarray(trace)
+    dropped = np.any(np.diff(lls) < -tol * np.maximum(1.0, np.abs(lls[:-1])))
+    if dropped or np.any(state_marginals(joints).sum(axis=0) < _EMPTY_STATE_TOL):
         converged = False
-    return params, np.asarray(trace), converged
+    return params, lls, converged
 
 
 def fit(config: ModelConfig, y, settings: EMSettings | None = None) -> FitResult:

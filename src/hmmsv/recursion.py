@@ -14,11 +14,10 @@ lead the row index, so rows [:k**(t-1)] read such an occasion. Conditionals
 repeat those rows over the missing lags; joints pin the missing lags to
 index 0 and are zero in every other row.
 
-The reference API (windowed_full_conditional and peel) returns
-PosteriorSlice windows over the real variables only:
-(u_{t-n_lag}, ..., u_{t+j}) with n_lag = min(t - 1, h), flattened the same
-way, so u_t sits at window position n_lag + 1. With j = 0 the full
-conditional is the target slice of the final occasion t = T.
+The reference API (windowed_full_conditional and peel) returns arrays in the
+same layout with one trailing axis of size k per future state
+u_{t+1}, ..., u_{t+j}; with j = 0 the full conditional is the target slice of
+the final occasion t = T.
 """
 
 from __future__ import annotations
@@ -38,39 +37,6 @@ _BLOCK = 4096
 
 class StructuralZeroError(ValueError):
     """A conditioning configuration carries zero probability mass."""
-
-
-@dataclass(frozen=True)
-class PosteriorSlice:
-    """Conditional posterior of u_t given the window states and the data.
-
-    values is the flat window tensor of the reference API described in the
-    module docstring; for every fixed configuration of the conditioning
-    variables the entries over u_t sum to one.
-    """
-
-    t: int
-    j: int
-    k: int
-    n_lag: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        if vals.size != self.k**self.d:
-            raise ValueError(
-                f"slice at t={self.t} needs {self.k**self.d} entries, got {vals.size}"
-            )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def d(self) -> int:
-        return self.n_lag + self.j + 1
-
-    @property
-    def window_times(self) -> tuple[int, ...]:
-        return tuple(range(self.t - self.n_lag, self.t + self.j + 1))
 
 
 def _prior_stack(params: ParameterSet) -> np.ndarray:
@@ -139,14 +105,14 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
 
 def windowed_full_conditional(
     params: ParameterSet, config: ModelConfig, y_t: float, t: int, j: int
-) -> tuple[PosteriorSlice, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Full conditional of u_t given the surrounding window states and y_t alone.
 
     j counts the future occasions t+1, ..., t+j inside the window; the
-    intended use has j = min(T - t, h). The numerator, returned as a flat
-    array over the same window, chains the emission at t with the transition
-    factors of every window occasion; summing it over u_t gives the
-    normalizer.
+    intended use has j = min(T - t, h). Returns q and its numerator as
+    (k**h, k) + (k,) * j arrays in the layout of the module docstring. The
+    numerator chains the emission at t with the transition factors of every
+    window occasion; summing it over u_t (axis 1) gives the normalizer.
     """
     _check_compat(params, config)
     if t < 1:
@@ -155,40 +121,34 @@ def windowed_full_conditional(
         raise ValueError(f"look-ahead count must be >= 0, got {j}")
     if not np.isfinite(y_t):
         raise ValueError(f"observation must be finite, got {y_t!r}")
-    k, n_lag = config.k, min(t - 1, config.h)
+    k, h = config.k, config.h
     F = emission_matrix([y_t], params.sigma)
-    q, a = _conditionals(F, _block_priors(_prior_stack(params), t, j), k, config.h)
-    # the padded lags before the series start sit at index 0, so the real
-    # window is the leading part of the padded one
-    size = k ** (n_lag + j + 1)
-    return PosteriorSlice(t=t, j=j, k=k, n_lag=n_lag, values=q[0, :size]), a[0, :size]
+    q, a = _conditionals(F, _block_priors(_prior_stack(params), t, j), k, h)
+    shape = (k**h, k) + (k,) * j
+    return q.reshape(shape), a.reshape(shape)
 
 
-def peel(q_inner: PosteriorSlice, q_next: PosteriorSlice) -> PosteriorSlice:
+def peel(q_inner: np.ndarray, q_next: np.ndarray) -> np.ndarray:
     """Remove the last future conditioning state from a windowed posterior.
 
-    q_inner is the slice at occasion t conditioning on j + 1 future states;
-    q_next is the target slice at occasion t + j + 1. The reciprocal-sum
-    identity yields the slice at t with j future states.
+    q_inner is the conditional at occasion t with j >= 1 trailing future
+    axes, as windowed_full_conditional returns it; q_next is the (k**h, k)
+    target slice of occasion t + j. The reciprocal-sum identity yields the
+    conditional at t with j - 1 future axes.
     """
-    if q_inner.k != q_next.k:
-        raise ValueError("slices disagree on the number of states")
-    if q_inner.j < 1:
+    q_inner, q_next = np.asarray(q_inner, dtype=float), np.asarray(q_next, dtype=float)
+    if q_next.ndim != 2:
+        raise ValueError(f"q_next must be a (k**h, k) slice, got shape {q_next.shape}")
+    k = q_next.shape[1]
+    if q_inner.shape[:2] != q_next.shape:
+        raise ValueError(f"window shapes disagree: q_inner {q_inner.shape}, q_next {q_next.shape}")
+    if q_inner.ndim < 3:
         raise ValueError("q_inner has no future conditioning state to remove")
-    if q_next.j != 0:
-        raise ValueError("q_next must be a target slice (j = 0)")
-    if q_next.t != q_inner.t + q_inner.j:
-        raise ValueError(
-            f"misaligned windows: q_next is at occasion {q_next.t}, "
-            f"expected {q_inner.t + q_inner.j}"
-        )
-    if q_next.t - q_next.n_lag < q_inner.t - q_inner.n_lag:
-        raise ValueError("misaligned windows: q_next conditions on states outside q_inner's window")
+    if any(n != k for n in q_inner.shape[2:]):
+        raise ValueError(f"every future axis of q_inner must have size {k}, got shape {q_inner.shape}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = _peel(q_inner.values, q_next.values, q_inner.k)
-    return PosteriorSlice(
-        t=q_inner.t, j=q_inner.j - 1, k=q_inner.k, n_lag=q_inner.n_lag, values=vals
-    )
+        vals = _peel(q_inner.reshape(-1), q_next.reshape(-1), k)
+    return vals.reshape(q_inner.shape[:-1])
 
 
 def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:

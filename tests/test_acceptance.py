@@ -15,7 +15,6 @@ from hmmsv import (
     EMSettings,
     ModelConfig,
     ParameterSet,
-    PosteriorSlice,
     backward_pass,
     bic,
     brute_force_joint,
@@ -152,20 +151,16 @@ def test_c5_long_series_stability():
     assert joints.min() >= 0.0 and joints.max() <= 1.0 + tol
     check_posteriors(slices, joints, atol=tol)
 
-    def target(t):
-        n_lag = min(t - 1, config.h)
-        return PosteriorSlice(t=t, j=0, k=config.k, n_lag=n_lag, values=slices[t - 1, : config.k**n_lag])
-
     # walk the per-operation route for a stretch of occasions so the
     # intermediate windowed conditionals and every peel stage are inspected
     for t in list(range(1, 101)) + list(range(4900, 5001)) + list(range(T - 100, T)):
         jmax = min(T - t, config.h)
         stage, _ = windowed_full_conditional(params, config, series.y[t - 1], t, jmax)
-        assert stage.values.min() >= 0.0 and stage.values.max() <= 1.0 + tol
+        assert stage.min() >= 0.0 and stage.max() <= 1.0 + tol
         for j in range(jmax - 1, -1, -1):
-            stage = peel(stage, target(t + j + 1))
-            assert stage.values.min() >= 0.0 and stage.values.max() <= 1.0 + tol
-        assert np.abs(stage.values - target(t).values).max() < 1e-12
+            stage = peel(stage, slices[t + j])
+            assert stage.min() >= 0.0 and stage.max() <= 1.0 + tol
+        assert np.abs(stage - slices[t - 1]).max() < 1e-12
 
     ll = log_likelihood(params, config, series, slices)
     assert math.isfinite(ll)
@@ -200,10 +195,10 @@ def test_c6_em_monotonic_fixed_point():
         params = result.params
         prev_ll = result.loglik
         for _ in range(5000):
-            counts, ll = e_step(params, config, series)
+            joints, ll = e_step(params, config, series)
             assert ll >= prev_ll - 1e-9, f"instance {i} lost monotonicity while polishing"
             prev_ll = ll
-            updated = m_step(counts, series, config, prev=params)
+            updated = m_step(joints, series, config, prev=params)
             moved = _param_delta(updated, params)
             params = updated
             if moved < 1e-6:
@@ -212,9 +207,9 @@ def test_c6_em_monotonic_fixed_point():
             pytest.fail(f"instance {i}: EM never reached a 1e-6 fixed point")
 
         # at convergence one extra iteration stays within 1e-6 per parameter
-        counts, ll = e_step(params, config, series)
+        joints, ll = e_step(params, config, series)
         assert ll >= prev_ll - 1e-9
-        again = m_step(counts, series, config, prev=params)
+        again = m_step(joints, series, config, prev=params)
         assert _param_delta(again, params) < 1e-6, f"instance {i}"
 
 

@@ -82,6 +82,17 @@ def test_ingest_rejects_column_index_out_of_range(tmp_path, capsys):
     assert "column index 5" in err and "line" not in err
 
 
+def test_ingest_rejects_non_finite_cells_with_lines(tmp_path, capsys):
+    path = write(tmp_path / "r.csv", "0.5\nnan\n1.0\n-inf\n")
+    with pytest.raises(CLIError, match=r"at line\(s\) 2, 4$"):
+        ingest(path)
+    prices = write(tmp_path / "p.csv", "100\nnan\n105\ninf\n")
+    with pytest.raises(CLIError, match=r"at line\(s\) 2, 4$"):
+        ingest(prices, prices=True)
+    assert main(["fit", "--input", prices, "--prices", "--h", "0", "--k", "1"]) == 1
+    assert capsys.readouterr().err == "error: cli: non-numeric or missing value in column 0 at line(s) 2, 4\n"
+
+
 def test_ingest_missing_and_empty(tmp_path):
     with pytest.raises(CLIError):
         ingest(tmp_path / "absent.csv")
@@ -267,6 +278,20 @@ def test_load_params_rejects_broken_files(tmp_path):
         load_params(path)
     with pytest.raises(CLIError):
         load_params(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("field", ["k", "h"])
+@pytest.mark.parametrize("value", [2.9, True])
+def test_load_params_rejects_non_integer_orders(tmp_path, capsys, field, value):
+    payload = json.loads(_json_text(params_payload(ModelConfig(k=2, h=1), random_parameters(2, 1, np.random.default_rng(4)))))
+    payload[field] = value
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(payload))
+    data = write(tmp_path / "y.csv", "0.4\n-0.1\n0.9\n")
+    assert main(["decode", "--params", str(path), "--input", data]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cli: cannot read parameter file {path}: {field} must be a ")
+    assert repr(value) in err
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

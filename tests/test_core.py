@@ -35,6 +35,9 @@ def test_config_rejects_bad_values():
         ModelConfig(k=0, h=1)
     with pytest.raises(ValueError):
         ModelConfig(k=2, h=-1)
+    for k, h in ((True, 1), (2, False), (2.0, 1), (2, 1.0)):
+        with pytest.raises(ValueError, match="must be a"):
+            ModelConfig(k=k, h=h)
 
 
 # ---------------------------------------------------------------------------

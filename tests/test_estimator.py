@@ -9,7 +9,6 @@ from hmmsv import (
     DegenerateStateWarning,
     EMSettings,
     EstimationError,
-    ExpectedCounts,
     ModelConfig,
     ParameterSet,
     bic,
@@ -22,6 +21,7 @@ from hmmsv import (
     m_step,
     param_count,
     simulate,
+    state_marginals,
 )
 
 from conftest import random_instance, random_parameters
@@ -38,9 +38,9 @@ def npdf_log(y, s):
 def test_e_step_single_state(rng):
     config = ModelConfig(k=1, h=1)
     params = ParameterSet(early=(np.array([[1.0]]),), pi=np.array([[1.0]]), sigma=np.array([2.0]))
-    counts, ll = e_step(params, config, rng.normal(0, 2, size=10))
-    assert np.allclose(counts.w_hat, 1.0)
-    assert np.allclose(counts.z_hat, 1.0)
+    joints, ll = e_step(params, config, rng.normal(0, 2, size=10))
+    assert np.allclose(state_marginals(joints), 1.0)
+    assert np.allclose(joints, 1.0)
     assert math.isfinite(ll)
 
 
@@ -48,25 +48,25 @@ def test_e_step_matches_scaled_smoother(rng):
     config = ModelConfig(k=3, h=1)
     params = random_parameters(3, 1, rng)
     y = rng.normal(0, 2, size=40)
-    counts, ll = e_step(params, config, y)
+    joints, ll = e_step(params, config, y)
     tables = bw_backward(params, config, y)
     marg, pair = bw_posteriors(tables)
-    assert np.abs(counts.w_hat - marg).max() < 1e-10
+    assert np.abs(state_marginals(joints) - marg).max() < 1e-10
     for t in range(2, 41):
-        assert np.abs(counts.z_hat[t - 1].reshape(-1) - pair[t - 2].reshape(-1)).max() < 1e-10
+        assert np.abs(joints[t - 1].reshape(-1) - pair[t - 2].reshape(-1)).max() < 1e-10
     assert ll == pytest.approx(tables.loglik, abs=1e-9)
 
 
 def test_e_step_matches_enumeration(rng):
     config, params, y = random_instance(17, k=2, h=2, T=5)
-    counts, ll = e_step(params, config, y)
+    joints, ll = e_step(params, config, y)
     exact = brute_force_joint(params, config, y)
     for t in range(1, 6):
         n_vars = min(t, 3)
         window = list(range(t - n_vars + 1, t + 1))
-        z = counts.z_hat[t - 1, : 2 ** (n_vars - 1)].reshape(-1)
+        z = joints[t - 1, : 2 ** (n_vars - 1)].reshape(-1)
         assert np.abs(z - exact.window_posterior(window)).max() < 1e-10
-        assert np.abs(counts.w_hat[t - 1] - exact.window_posterior([t])).max() < 1e-10
+        assert np.abs(state_marginals(joints)[t - 1] - exact.window_posterior([t])).max() < 1e-10
     assert ll == pytest.approx(exact.loglik, abs=1e-10)
 
 
@@ -74,13 +74,13 @@ def test_e_step_count_consistency(rng):
     # the oldest variable summed out of z_t equals the newest summed out of
     # z_{t+1}: both are the posterior of the shared sub-window
     config, params, y = random_instance(29, k=2, h=2, T=8)
-    counts, _ = e_step(params, config, y)
+    joints, _ = e_step(params, config, y)
     k, h = config.k, config.h
     for t in range(h + 1, 8):
-        left = counts.z_hat[t - 1].reshape(k, -1).sum(axis=0)
-        right = counts.z_hat[t].reshape(-1, k).sum(axis=1)
+        left = joints[t - 1].reshape(k, -1).sum(axis=0)
+        right = joints[t].reshape(-1, k).sum(axis=1)
         assert np.allclose(left, right, atol=1e-10)
-    assert np.allclose(counts.w_hat.sum(axis=1), 1.0, atol=1e-10)
+    assert np.allclose(state_marginals(joints).sum(axis=1), 1.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +93,14 @@ def test_m_step_all_weight_on_first_state(rng):
     T = y.size
     w = np.zeros((T, 2))
     w[:, 0] = 1.0
-    counts = ExpectedCounts(w_hat=w, z_hat=w.reshape(T, 1, 2))
     prev = random_parameters(2, 0, rng)
     with pytest.warns(DegenerateStateWarning):
-        updated = m_step(counts, y, config, prev=prev)
+        updated = m_step(w.reshape(T, 1, 2), y, config, prev=prev)
     assert updated.sigma[0] == pytest.approx(math.sqrt(np.mean(y**2)), rel=1e-12)
     assert updated.sigma[1] == prev.sigma[1]
     with pytest.raises(EstimationError):
         with pytest.warns(DegenerateStateWarning):
-            m_step(counts, y, config)
+            m_step(w.reshape(T, 1, 2), y, config)
 
 
 def test_m_step_deterministic_path_gives_indicators(rng):
@@ -114,8 +113,7 @@ def test_m_step_deterministic_path_gives_indicators(rng):
     z[0, 0] = w[0]
     for t in range(1, T):
         z[t, path[t - 1] - 1, path[t] - 1] = 1.0
-    counts = ExpectedCounts(w_hat=w, z_hat=z)
-    updated = m_step(counts, y=rng.normal(size=T), config=config)
+    updated = m_step(z, y=rng.normal(size=T), config=config)
     assert np.allclose(updated.early[0][0], [1.0, 0.0])
     # visited transitions become counts-proportional rows; the path visits
     # 1->2 once, 2->2 once, 2->1 once
@@ -133,21 +131,21 @@ def test_m_step_unvisited_rows_become_uniform(rng):
     z[0, 0] = w[0]
     for t in range(1, T):
         z[t] = np.outer(w[t - 1], w[t])
-    counts = ExpectedCounts(w_hat=w, z_hat=z)
     with pytest.warns(DegenerateStateWarning):
-        updated = m_step(counts, rng.normal(size=T), config, prev=random_parameters(2, 1, rng))
+        updated = m_step(z, rng.normal(size=T), config, prev=random_parameters(2, 1, rng))
     assert np.allclose(updated.pi[0], [1.0, 0.0])
     assert np.allclose(updated.pi[1], [0.5, 0.5])  # never left state 1
 
 
-def expected_complete_loglik(params, counts, y, config):
+def expected_complete_loglik(params, joints, y, config):
     k, h = config.k, config.h
+    w = state_marginals(joints)
     total = 0.0
     for t in range(1, y.size + 1):
         for v in range(k):
-            total += counts.w_hat[t - 1, v] * npdf_log(y[t - 1], params.sigma[v])
+            total += w[t - 1, v] * npdf_log(y[t - 1], params.sigma[v])
         table = params.transition(t).reshape(-1)
-        z = counts.z_hat[t - 1, : k ** min(t - 1, h)].reshape(-1)
+        z = joints[t - 1, : k ** min(t - 1, h)].reshape(-1)
         with np.errstate(divide="ignore"):
             logs = np.where(z > 0, np.log(np.where(table > 0, table, 1.0)), 0.0)
         total += float((z * logs).sum())
@@ -156,9 +154,9 @@ def expected_complete_loglik(params, counts, y, config):
 
 def test_m_step_maximizes_expected_complete_loglik(rng):
     config, params, y = random_instance(41, k=2, h=1, T=10)
-    counts, _ = e_step(params, config, y)
-    best = m_step(counts, y, config)
-    q_best = expected_complete_loglik(best, counts, y, config)
+    joints, _ = e_step(params, config, y)
+    best = m_step(joints, y, config)
+    q_best = expected_complete_loglik(best, joints, y, config)
     for _ in range(1000):
         noise = rng.normal(0, 0.08, size=best.pi.shape)
         pi = np.clip(best.pi + noise, 1e-6, None)
@@ -167,7 +165,7 @@ def test_m_step_maximizes_expected_complete_loglik(rng):
         lam /= lam.sum(axis=1, keepdims=True)
         sigma = best.sigma * np.exp(rng.normal(0, 0.05, size=2))
         alt = ParameterSet(early=(lam,), pi=pi, sigma=sigma)
-        assert expected_complete_loglik(alt, counts, y, config) <= q_best + 1e-12
+        assert expected_complete_loglik(alt, joints, y, config) <= q_best + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +204,8 @@ def test_fit_one_iteration_matches_smoother_built_update(rng):
     config = ModelConfig(k=2, h=1)
     params = random_parameters(2, 1, rng, diag_bias=0.3)
     y = rng.normal(0, 1.8, size=50)
-    counts, _ = e_step(params, config, y)
-    updated = m_step(counts, y, config)
+    joints, _ = e_step(params, config, y)
+    updated = m_step(joints, y, config)
 
     marg, pair = bw_posteriors(bw_backward(params, config, y))
     sigma = np.sqrt((marg * (y**2)[:, None]).sum(axis=0) / marg.sum(axis=0))
@@ -238,11 +236,27 @@ def test_fit_fixed_point_after_convergence(rng):
     _, series = simulate(config, truth, 600, seed=9)
     res = fit(config, series, EMSettings(n_starts=1, seed=5, rel_tolerance=1e-12, max_iterations=3000))
     assert res.converged
-    counts, _ = e_step(res.params, config, series)
-    again = m_step(counts, series, config, prev=res.params)
+    joints, _ = e_step(res.params, config, series)
+    again = m_step(joints, series, config, prev=res.params)
     assert np.abs(again.sigma - res.params.sigma).max() < 1e-6
     assert np.abs(again.pi - res.params.pi).max() < 1e-6
     assert np.abs(again.early[0] - res.params.early[0]).max() < 1e-6
+
+
+def test_fit_likelihood_drop_is_not_convergence(monkeypatch):
+    # the last two values agree, but the trace fell on the way there
+    import hmmsv.estimator
+
+    real_e_step = hmmsv.estimator.e_step
+    lls = iter([-10.0, -9.0, -9.5, -9.5])
+
+    def scripted_e_step(params, config, y):
+        return real_e_step(params, config, y)[0], next(lls)
+
+    monkeypatch.setattr(hmmsv.estimator, "e_step", scripted_e_step)
+    res = fit(ModelConfig(k=1, h=0), np.array([0.3, -1.2, 0.8]), EMSettings(n_starts=1))
+    assert np.array_equal(res.trace, [-10.0, -9.0, -9.5, -9.5])
+    assert not res.converged
 
 
 def test_fit_validates_settings():

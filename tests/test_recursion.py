@@ -54,7 +54,7 @@ def brute_conditional(exact, t, h, k):
 def test_terminal_single_state():
     config = ModelConfig(k=1, h=1)
     out = windowed_full_conditional(single_state_params(1), config, 0.3, t=4, j=0)[0]
-    assert np.allclose(out.values, 1.0)
+    assert np.allclose(out, 1.0)
 
 
 def test_terminal_h0_is_bayes_mixture(rng):
@@ -63,7 +63,7 @@ def test_terminal_h0_is_bayes_mixture(rng):
     y_T = 1.1
     out = windowed_full_conditional(params, config, y_T, t=5, j=0)[0]
     num = np.array([params.pi[0, v] * npdf(y_T, params.sigma[v]) for v in range(3)])
-    assert np.allclose(out.values, num / num.sum(), atol=1e-14)
+    assert np.allclose(out.reshape(-1), num / num.sum(), atol=1e-14)
 
 
 def test_terminal_first_order_matches_direct_bayes():
@@ -78,8 +78,8 @@ def test_terminal_first_order_matches_direct_bayes():
         c = sum(num)
         expected[2 * prev] = num[0] / c
         expected[2 * prev + 1] = num[1] / c
-    assert np.allclose(out.values, expected, atol=1e-14)
-    check_posteriors(out.values.reshape(1, 2, 2))
+    assert np.allclose(out.reshape(-1), expected, atol=1e-14)
+    check_posteriors(out.reshape(1, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +89,8 @@ def test_terminal_first_order_matches_direct_bayes():
 def test_windowed_single_state():
     config = ModelConfig(k=1, h=2)
     q, num = windowed_full_conditional(single_state_params(2), config, 0.2, t=4, j=2)
-    assert np.allclose(q.values, 1.0)
-    assert num.shape == (1,)
+    assert np.allclose(q, 1.0)
+    assert num.size == 1
 
 
 def test_windowed_interior_first_order_formula(rng):
@@ -109,7 +109,7 @@ def test_windowed_interior_first_order_formula(rng):
             c = sum(nums)
             for v in range(2):
                 expected[4 * prev + 2 * v + nxt] = nums[v] / c
-    assert np.allclose(q.values, expected, atol=1e-14)
+    assert np.allclose(q.reshape(-1), expected, atol=1e-14)
     # the normalizer sums the numerator over u_t
     norm = num.reshape(2, 2, 2).sum(axis=1)
     for prev in range(2):
@@ -131,7 +131,7 @@ def test_windowed_second_order_matches_enumeration(rng):
     exact = brute_force_joint(params, config, y[t - 1 : t])
     # build the conditional by direct summation over the joint prior times f
     k = 2
-    window_times = q.window_times
+    window_times = range(t - config.h, t + j + 1)
     d = len(window_times)
     vals = np.empty(k**d)
     for flat in range(k**d):
@@ -160,7 +160,7 @@ def test_windowed_second_order_matches_enumeration(rng):
             alt[t] = v
             den += prior_prob(alt) * npdf(y[t - 1], params.sigma[v])
         vals[flat] = num / den
-    assert np.allclose(q.values, vals, atol=1e-12)
+    assert np.allclose(q.reshape(-1), vals, atol=1e-12)
     assert exact.loglik < 0 or True  # enumeration object exercised above
 
 
@@ -185,7 +185,7 @@ def test_peel_single_state():
     inner, _ = windowed_full_conditional(params, config, 0.5, t=2, j=1)
     target = windowed_full_conditional(params, config, 0.1, t=3, j=0)[0]
     out = peel(inner, target)
-    assert np.allclose(out.values, 1.0)
+    assert np.allclose(out, 1.0)
 
 
 def test_peel_reproduces_exact_conditional(rng):
@@ -219,13 +219,33 @@ def test_peel_alignment_errors(rng):
     config = ModelConfig(k=2, h=1)
     params = random_parameters(2, 1, rng)
     inner, _ = windowed_full_conditional(params, config, 0.4, t=2, j=1)
-    with pytest.raises(ValueError):
-        peel(inner, windowed_full_conditional(params, config, 0.2, t=5, j=0)[0])  # wrong occasion
-    with pytest.raises(ValueError):
-        peel(
-            windowed_full_conditional(params, config, 0.2, t=3, j=0)[0],
-            windowed_full_conditional(params, config, 0.1, t=3, j=0)[0],
-        )
+    other = windowed_full_conditional(random_parameters(2, 2, rng), ModelConfig(k=2, h=2), 0.2, t=5, j=0)[0]
+    target = windowed_full_conditional(params, config, 0.2, t=3, j=0)[0]
+    with pytest.raises(ValueError, match="window shapes disagree"):
+        peel(inner, other)  # a slice of a second-order chain
+    with pytest.raises(ValueError, match="must be a"):
+        peel(inner, inner)
+    with pytest.raises(ValueError, match="must have size 2"):
+        peel(np.full((2, 2, 3), 0.5), target)
+    with pytest.raises(ValueError, match="no future conditioning state"):
+        peel(target, windowed_full_conditional(params, config, 0.1, t=3, j=0)[0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("h", [0, 1, 2, 3])
+def test_reference_route_reproduces_backward_pass(k, h):
+    # walk the windowed conditional and every peel stage from each occasion,
+    # boundary ones included, on series shorter and longer than the window
+    for T in sorted({1, max(h - 1, 1), h + 1, 2 * h + 3}):
+        config, params, y = random_instance(500 + 10 * k + h + 100 * T, k=k, h=h, T=T)
+        slices = backward_pass(params, config, y)
+        for t in range(1, T + 1):
+            jmax = min(T - t, h)
+            stage, num = windowed_full_conditional(params, config, y[t - 1], t, jmax)
+            assert stage.shape == num.shape == (k**h, k) + (k,) * jmax
+            for j in range(jmax - 1, -1, -1):
+                stage = peel(stage, slices[t + j])
+            assert np.abs(stage - slices[t - 1]).max() < 1e-12, (T, t)
 
 
 # ---------------------------------------------------------------------------
