@@ -8,12 +8,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelConfig, ParameterSet, as_array, param_count, reorder_states
+from .core import (
+    ModelConfig,
+    ParameterSet,
+    _check_compat,
+    as_array,
+    emission_matrix,
+    param_count,
+    reorder_states,
+)
 from .recursion import (
     StructuralZeroError,
-    backward_pass,
-    forward_joint_pass,
-    log_likelihood,
+    _backward_pass,
+    _default_loglik,
+    _forward_joint_pass,
+    _prior_stack,
+    backward_pass,  # noqa: F401 -- unused here; bench/selftest.py checks that tracing rebinds it
     state_marginals,
 )
 
@@ -65,19 +75,39 @@ class FitResult:
     start_index: int
 
 
-def e_step(params: ParameterSet, config: ModelConfig, y):
+def e_step(params, config: ModelConfig, y):
     """Joint window posteriors and the log-likelihood at the current parameters.
 
     Returns (joints, ll): joints is the (T, k**h, k) array of
     forward_joint_pass, so joints[t-1, :k**(t-1)] is the joint of
     (u_1, ..., u_t) for t <= h, and state_marginals(joints) gives the
     smoothed state probabilities.
+
+    params may also be a sequence of S parameter sets. They run through one
+    batched backward and forward pass, joints gains a leading start axis and
+    ll becomes a list of S floats; each start gets the bits it gets alone.
+    A StructuralZeroError carries the failing position in its start
+    attribute. Each start's emission matrix is built once and serves both
+    the passes and the likelihood.
     """
+    batch = not isinstance(params, ParameterSet)
+    group = list(params) if batch else [params]
+    for p in group:
+        _check_compat(p, config)
     y_arr = as_array(y)
-    slices = backward_pass(params, config, y_arr)
-    joints = forward_joint_pass(slices, config)
-    ll = log_likelihood(params, config, y_arr, slices)
-    return joints, ll
+    k, h = config.k, config.h
+    F = np.stack([emission_matrix(y_arr, p.sigma) for p in group])
+    P = np.stack([_prior_stack(p) for p in group])
+    slices = _backward_pass(F, P, k, h)
+    joints = _forward_joint_pass(slices, k, h)
+    lls = []
+    for i in range(len(group)):
+        try:
+            lls.append(_default_loglik(F[i], P[i], slices[i], config, joints[i]))
+        except StructuralZeroError as exc:
+            exc.start = i
+            raise
+    return (joints, lls) if batch else (joints[0], lls[0])
 
 
 def _normalize_rows(z: np.ndarray, k: int) -> np.ndarray:
@@ -151,38 +181,67 @@ def _initial_parameters(config: ModelConfig, y_arr, rng, quantile_start: bool) -
     return ParameterSet(early=early, pi=pi, sigma=sigma)
 
 
-def _run_em(params: ParameterSet, config: ModelConfig, y_arr, settings: EMSettings):
-    """EM from one start: at most max_iterations M-steps, each followed by an E-step.
+def _run_em(starts: list[ParameterSet], config: ModelConfig, y_arr, settings: EMSettings) -> list:
+    """EM from every start in lockstep: at most max_iterations M-steps per
+    start, each followed by an E-step.
+
+    Each iteration runs one batched E-step over the active starts, then each
+    start's convergence test and M-step. A start leaves the batch when it
+    converges, runs out of M-steps or fails; a start's numbers do not depend
+    on which others share its batch, so each equals a run of that start
+    alone. Returns, per start, (params, trace, converged) or the error that
+    stopped it.
 
     converged is True when two consecutive log-likelihoods agree to
     rel_tolerance before the M-steps run out, no step of the trace falls by
     more than that tolerance, and every state keeps posterior weight.
     """
     tol = settings.rel_tolerance
-    trace: list[float] = []
-    converged = False
-    for it in range(settings.max_iterations + 1):
-        joints, ll = e_step(params, config, y_arr)
-        trace.append(ll)
-        if it == settings.max_iterations:
-            break
-        if it and abs(ll - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
-            converged = True
-            break
-        params = m_step(joints, y_arr, config, prev=params)
-    lls = np.asarray(trace)
-    dropped = np.any(np.diff(lls) < -tol * np.maximum(1.0, np.abs(lls[:-1])))
-    if dropped or np.any(state_marginals(joints).sum(axis=0) < _EMPTY_STATE_TOL):
-        converged = False
-    return params, lls, converged
+    params = list(starts)
+    traces: list[list[float]] = [[] for _ in starts]
+    outcomes: list = [None] * len(starts)
+    active = list(range(len(starts)))
+    while active:
+        try:
+            joints, lls = e_step([params[s] for s in active], config, y_arr)
+        except StructuralZeroError as exc:
+            # the others redo this E-step without the failed start
+            outcomes[active.pop(exc.start)] = exc
+            continue
+        remaining = []
+        for i, s in enumerate(active):
+            trace = traces[s]
+            trace.append(lls[i])
+            it = len(trace) - 1
+            stop = it == settings.max_iterations
+            converged = not stop and it > 0 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2]))
+            if stop or converged:
+                lls_s = np.asarray(trace)
+                dropped = np.any(np.diff(lls_s) < -tol * np.maximum(1.0, np.abs(lls_s[:-1])))
+                if dropped or np.any(state_marginals(joints[i]).sum(axis=0) < _EMPTY_STATE_TOL):
+                    converged = False
+                outcomes[s] = (params[s], lls_s, converged)
+                continue
+            try:
+                params[s] = m_step(joints[i], y_arr, config, prev=params[s])
+            except EstimationError as exc:
+                outcomes[s] = exc
+                continue
+            remaining.append(s)
+        active = remaining
+    return outcomes
 
 
 def fit(config: ModelConfig, y, settings: EMSettings | None = None) -> FitResult:
     """Best-of-several-starts EM estimate with its trace and criteria.
 
     The first start pins volatilities to quantile bands of |y| and biases
-    transition rows toward persistence; remaining starts are random. States in
-    the returned parameters are relabeled so volatilities ascend.
+    transition rows toward persistence; remaining starts are random. All
+    starts run EM in lockstep through one batched E-step per iteration (see
+    _run_em), whose backward pass holds at most about 4096 * k**(2h+1)
+    floats of conditionals however many starts share it. A start that fails
+    drops out; the first start with the highest final log-likelihood wins.
+    States in the returned parameters are relabeled so volatilities ascend.
     """
     settings = settings if settings is not None else EMSettings()
     y_arr = as_array(y)
@@ -190,16 +249,17 @@ def fit(config: ModelConfig, y, settings: EMSettings | None = None) -> FitResult
     npar = param_count(config)
     n_starts = 1 if config.k == 1 else settings.n_starts
 
-    best = None
-    failures: list[str] = []
+    starts = []
     for s in range(n_starts):
         rng = np.random.default_rng([settings.seed, s])
-        start = _initial_parameters(config, y_arr, rng, quantile_start=(s == 0))
-        try:
-            params, trace, converged = _run_em(start, config, y_arr, settings)
-        except (EstimationError, StructuralZeroError) as exc:
-            failures.append(f"start {s}: {exc}")
+        starts.append(_initial_parameters(config, y_arr, rng, quantile_start=(s == 0)))
+    best = None
+    failures: list[str] = []
+    for s, outcome in enumerate(_run_em(starts, config, y_arr, settings)):
+        if isinstance(outcome, Exception):
+            failures.append(f"start {s}: {outcome}")
             continue
+        params, trace, converged = outcome
         if best is None or trace[-1] > best[0]:
             best = (trace[-1], s, params, trace, converged)
     if best is None:

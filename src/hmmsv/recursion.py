@@ -36,7 +36,15 @@ _BLOCK = 4096
 
 
 class StructuralZeroError(ValueError):
-    """A conditioning configuration carries zero probability mass."""
+    """A conditioning configuration carries zero probability mass.
+
+    start is the position, in a batch of parameter sets, of the set that hit
+    it; a single set is position 0.
+    """
+
+    def __init__(self, message: str, start: int = 0):
+        super().__init__(message)
+        self.start = start
 
 
 def _prior_stack(params: ParameterSet) -> np.ndarray:
@@ -52,55 +60,82 @@ def _prior_stack(params: ParameterSet) -> np.ndarray:
 def _conditionals(F: np.ndarray, priors: np.ndarray, k: int, h: int):
     """Full conditionals and numerators for a block of occasions t.
 
-    F holds the block's (n, k) emission rows. priors[l] is the padded prior
-    row of occasion t + l, shared by the whole block, so the window
-    (u_{t-h}, ..., u_{t+j}) has j = len(priors) - 1 future states. Returns
-    two (n, k**(h+1+j)) arrays: q, normalized over u_t, and the numerator.
+    F holds the block's emission rows time first, as an (n, S, k) array over
+    S starts. priors[:, l] is each start's padded prior row of occasion
+    t + l, shared by the whole block, so the window (u_{t-h}, ..., u_{t+j})
+    has j = priors.shape[1] - 1 future states. Returns two
+    (n, S, k**(h+1+j)) arrays: q, normalized over u_t, and the numerator.
     """
-    n = F.shape[0]
-    a = np.tile(F, (1, k**h)) * priors[0]
-    for l in range(1, len(priors)):
-        a = np.repeat(a, k, axis=1) * np.tile(priors[l], k**l)
-    a4 = a.reshape(n, k**h, k, -1)
-    c = a4.sum(axis=2, keepdims=True)
+    n, S = F.shape[:2]
+    a = np.tile(F, (1, 1, k**h)) * priors[:, 0]
+    for l in range(1, priors.shape[1]):
+        a = np.repeat(a, k, axis=2) * np.tile(priors[:, l], k**l)
+    a4 = a.reshape(n, S, k**h, k, -1)
+    c = a4.sum(axis=3, keepdims=True)
     if c.min() > 0:
         q = a4 / c
     else:
         # configurations with no mass get conditional probability zero
         q = np.divide(a4, c, out=np.zeros_like(a4), where=c > 0)
-    return q.reshape(n, -1), a
+    return q.reshape(n, S, -1), a
 
 
 def _block_priors(P: np.ndarray, t: int, j: int) -> np.ndarray:
-    """Prior rows of occasions t, ..., t + j from the padded stack."""
-    return P[np.minimum(np.arange(t - 1, t + j), P.shape[0] - 1)]
+    """(S, j+1, k**(h+1)) prior rows of occasions t, ..., t + j from the
+    (S, h+1, k**(h+1)) padded stacks."""
+    return P[:, np.minimum(np.arange(t - 1, t + j), P.shape[1] - 1)]
+
+
+def _bound_error(over: np.ndarray) -> StructuralZeroError:
+    """The error for the first start flagged in over."""
+    return StructuralZeroError(
+        "peel produced entries outside [0, 1]; window inputs are inconsistent, "
+        "typically because a transition or emission underflowed",
+        start=int(np.argmax(over)),
+    )
 
 
 def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
     """Reciprocal-sum step removing the last future state from a window.
 
+    q_inner holds the window conditionals of S starts one after another,
+    flat, and q_next their (S, 1, m) target slices of the occasion being
+    removed; the result is flat in the same way. Each start takes its own
+    path, so its bits do not depend on the batch: the fast path when its
+    q_inner is positive, with every output checked against one, and the
+    zero-mass path otherwise. A failed check raises StructuralZeroError
+    naming the start.
+
     Callers ignore floating-point over, divide and invalid warnings: a ratio
     may overflow when the divisor is subnormal, and the infinite reciprocal
     sum then collapses that entry to zero mass, as it should.
     """
-    reps = q_inner.size // q_next.size
+    S, _, m = q_next.shape
     # dividing block-wise is the same as tiling q_next over the wider window
-    blocks = q_inner.reshape(reps, q_next.size)
+    ratio = q_next / q_inner.reshape(S, -1, m)
     if q_inner.min() > 0.0:
-        out = 1.0 / (q_next / blocks).reshape(-1, k).sum(axis=1)
+        out = 1.0 / ratio.reshape(-1, k).sum(axis=1)
         if out.max() > 1.0 + _ENTRY_TOL:
-            raise ValueError("peel produced entries outside [0, 1]; window inputs are inconsistent")
+            raise _bound_error(out.reshape(S, -1).max(axis=1) > 1.0 + _ENTRY_TOL)
         return out
-    ratio = q_next / blocks
     # zero-mass numerators contribute nothing; a positive numerator over a
     # zero denominator blows the sum up, collapsing the output to zero mass
-    ratio = np.where(np.broadcast_to(q_next == 0.0, blocks.shape), 0.0, ratio)
-    out = 1.0 / ratio.reshape(-1, k).sum(axis=1)
+    zeroed = np.where(q_next == 0.0, 0.0, ratio)
+    out = 1.0 / zeroed.reshape(-1, k).sum(axis=1)
     # values are exact wherever the conditioning configuration is reachable;
     # a zero-probability configuration has no defined conditional, so its
     # entries are only kept as bounded placeholders that never receive
     # posterior mass downstream
-    return np.minimum(np.where(np.isfinite(out), out, 0.0), 1.0)
+    out = np.minimum(np.where(np.isfinite(out), out, 0.0), 1.0)
+    if S == 1:
+        return out
+    # the starts whose window holds no zero keep the checked fast path
+    positive = q_inner.reshape(S, -1).min(axis=1) > 0.0
+    fast = (1.0 / ratio.reshape(-1, k).sum(axis=1)).reshape(S, -1)
+    over = positive & (fast.max(axis=1) > 1.0 + _ENTRY_TOL)
+    if over.any():
+        raise _bound_error(over)
+    return np.where(positive[:, None], fast, out.reshape(S, -1)).reshape(-1)
 
 
 def windowed_full_conditional(
@@ -122,8 +157,8 @@ def windowed_full_conditional(
     if not np.isfinite(y_t):
         raise ValueError(f"observation must be finite, got {y_t!r}")
     k, h = config.k, config.h
-    F = emission_matrix([y_t], params.sigma)
-    q, a = _conditionals(F, _block_priors(_prior_stack(params), t, j), k, h)
+    F = emission_matrix([y_t], params.sigma)[None]
+    q, a = _conditionals(F, _block_priors(_prior_stack(params)[None], t, j), k, h)
     shape = (k**h, k) + (k,) * j
     return q.reshape(shape), a.reshape(shape)
 
@@ -147,8 +182,41 @@ def peel(q_inner: np.ndarray, q_next: np.ndarray) -> np.ndarray:
     if any(n != k for n in q_inner.shape[2:]):
         raise ValueError(f"every future axis of q_inner must have size {k}, got shape {q_inner.shape}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = _peel(q_inner.reshape(-1), q_next.reshape(-1), k)
+        vals = _peel(q_inner.reshape(-1), q_next.reshape(1, 1, -1), k)
     return vals.reshape(q_inner.shape[:-1])
+
+
+def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
+    """(S, T, k**h, k) target slices of S starts from their (S, T, k)
+    emission rows and (S, h+1, k**(h+1)) prior stacks; see backward_pass."""
+    S, T = F.shape[:2]
+    # the work runs time first, so each occasion is one index away and its
+    # rows of every start lie flat, side by side
+    F = F.transpose(1, 0, 2)
+    Q = np.empty((T, S, k**h, k))
+    flat = Q.reshape(T, -1)
+    divisors = Q.reshape(T, S, 1, -1)
+    lo, hi = h + 1, T - h
+    # the block's extra memory stays at _BLOCK * k**(2h+1) floats whatever S is
+    span = max(1, _BLOCK // S)
+    t = T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while t >= 1:
+            a = max(lo, t - span + 1) if lo <= t <= hi else t
+            j = min(T - t, h)
+            block = _conditionals(F[a - 1 : t], _block_priors(P, a, j), k, h)[0].reshape(t - a + 1, -1)
+            if h == 0:
+                # nothing to peel: the conditionals are the slices
+                flat[a - 1 : t] = block
+            else:
+                for s in range(t, a - 1, -1):
+                    vals = block[s - a]
+                    for jj in range(min(T - s, h) - 1, -1, -1):
+                        vals = _peel(vals, divisors[s + jj], k)
+                    flat[s - 1] = vals
+            t = a - 1
+    # a copy only when S > 1
+    return np.ascontiguousarray(Q.transpose(1, 0, 2, 3))
 
 
 def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
@@ -161,33 +229,36 @@ def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
     transitions, so their conditionals build in blocks, highest occasions
     first; the boundary occasions build one at a time. All stored values are
     bounded conditional probabilities, so no rescaling is applied anywhere.
+
+    The engine carries a leading axis of S parameter sets that share the
+    series, and this is its S = 1 case; e_step runs several EM starts through
+    it at once. Every start chooses its own peel path and every row builds on
+    its own, so a start's slices are the same bits in any batch and any block
+    size.
     """
     _check_compat(params, config)
     y_arr = as_array(y)
-    k, h = config.k, config.h
-    T = y_arr.size
-    F = emission_matrix(y_arr, params.sigma)
-    P = _prior_stack(params)
-    Q = np.empty((T, k**h, k))
-    flat = Q.reshape(T, -1)
-    lo, hi = h + 1, T - h
-    t = T
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while t >= 1:
-            a = max(lo, t - _BLOCK + 1) if lo <= t <= hi else t
-            j = min(T - t, h)
-            block = _conditionals(F[a - 1 : t], _block_priors(P, a, j), k, h)[0]
-            if h == 0:
-                # nothing to peel: the conditionals are the slices
-                flat[a - 1 : t] = block
-            else:
-                for s in range(t, a - 1, -1):
-                    vals = block[s - a]
-                    for jj in range(min(T - s, h) - 1, -1, -1):
-                        vals = _peel(vals, flat[s + jj], k)
-                    flat[s - 1] = vals
-            t = a - 1
-    return Q
+    F = emission_matrix(y_arr, params.sigma)[None]
+    return _backward_pass(F, _prior_stack(params)[None], config.k, config.h)[0]
+
+
+def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
+    """(S, T, k**h, k) joints from the slices of S starts; see forward_joint_pass."""
+    if h == 0:
+        # the posterior factorizes over occasions, so each joint is its slice
+        return Q.copy()
+    S, T = Q.shape[:2]
+    # time first, as in _backward_pass
+    Q = Q.transpose(1, 0, 2, 3)
+    J = np.empty(Q.shape)
+    # summing axis 1 of an occasion in this view drops its oldest lag
+    lags = J.reshape(T, S, k, -1, 1)
+    carried = np.zeros((S, k**h, 1))
+    carried[:, 0] = 1.0
+    for t in range(T):
+        J[t] = Q[t] * carried
+        carried = lags[t].sum(axis=1)
+    return np.ascontiguousarray(J.transpose(1, 0, 2, 3))
 
 
 def forward_joint_pass(slices, config: ModelConfig) -> np.ndarray:
@@ -199,18 +270,8 @@ def forward_joint_pass(slices, config: ModelConfig) -> np.ndarray:
     carried over the lags, which is the previous joint with its oldest
     variable summed out.
     """
-    k, h = config.k, config.h
     Q = np.asarray(slices, dtype=float)
-    if h == 0:
-        # the posterior factorizes over occasions, so each joint is its slice
-        return Q.copy()
-    J = np.empty_like(Q)
-    carried = np.zeros(k**h)
-    carried[0] = 1.0
-    for t in range(Q.shape[0]):
-        J[t] = Q[t] * carried[:, None]
-        carried = J[t].reshape(k, -1).sum(axis=0)
-    return J
+    return _forward_joint_pass(Q[None], config.k, config.h)[0]
 
 
 def state_marginals(joints) -> np.ndarray:
@@ -243,22 +304,38 @@ def local_decode(marginals) -> np.ndarray:
     return np.argmax(m, axis=1).astype(np.int64) + 1
 
 
-def _reference_loglik(params, config, y_arr, slices, ref) -> float | None:
-    """Log-likelihood along one reference path, or None if it hits zero mass."""
-    k, h = config.k, config.h
-    T = y_arr.size
+def _reference_loglik(F, P, slices, ref, k: int, h: int) -> float | None:
+    """Log-likelihood along one reference path, or None if it hits zero mass.
+
+    F and P are the start's (T, k) emission rows and padded prior stack.
+    """
+    T = F.shape[0]
     s0 = np.asarray(ref, dtype=np.int64) - 1
     occ = np.arange(T)
-    f_vals = emission_matrix(y_arr, params.sigma)[occ, s0]
+    f_vals = F[occ, s0]
     # padding the path with h leading zeros gives every occasion a full
     # window index into the padded layout
     padded = np.concatenate([np.zeros(h, dtype=np.int64), s0])
     idx = sliding_window_view(padded, h + 1) @ (k ** np.arange(h, -1, -1))
-    p_vals = _prior_stack(params)[np.minimum(occ, h), idx]
+    p_vals = P[np.minimum(occ, h), idx]
     q_vals = np.asarray(slices).reshape(T, -1)[occ, idx]
     if np.any(q_vals <= 0.0) or np.any(p_vals <= 0.0) or np.any(f_vals <= 0.0):
         return None
     return float(np.log(f_vals).sum() + np.log(p_vals).sum() - np.log(q_vals).sum())
+
+
+def _default_loglik(F, P, slices, config: ModelConfig, joints=None) -> float:
+    """Log-likelihood along the all-ones path, falling back to the path
+    decoded from the joints, which are computed only if needed."""
+    k, h = config.k, config.h
+    ll = _reference_loglik(F, P, slices, np.ones(F.shape[0], dtype=np.int64), k, h)
+    if ll is None:
+        if joints is None:
+            joints = forward_joint_pass(slices, config)
+        ll = _reference_loglik(F, P, slices, local_decode(state_marginals(joints)), k, h)
+        if ll is None:
+            raise StructuralZeroError("locally decoded reference path still hits a zero posterior")
+    return ll
 
 
 def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, reference=None) -> float:
@@ -275,25 +352,18 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     T = y_arr.size
     if len(slices) != T:
         raise ValueError(f"got {len(slices)} slices for {T} observations")
-    if reference is not None:
-        ref = np.asarray(reference, dtype=np.int64).reshape(-1)
-        if ref.size != T:
-            raise ValueError(f"reference path has length {ref.size}, expected {T}")
-        if ref.min() < 1 or ref.max() > config.k:
-            raise ValueError(f"reference states must lie in 1..{config.k}")
-        ll = _reference_loglik(params, config, y_arr, slices, ref)
-        if ll is None:
-            raise StructuralZeroError(
-                "reference path hits a zero posterior; supply another admissible path"
-            )
-        return ll
-    ref = np.ones(T, dtype=np.int64)
-    ll = _reference_loglik(params, config, y_arr, slices, ref)
+    F = emission_matrix(y_arr, params.sigma)
+    P = _prior_stack(params)
+    if reference is None:
+        return _default_loglik(F, P, slices, config)
+    ref = np.asarray(reference, dtype=np.int64).reshape(-1)
+    if ref.size != T:
+        raise ValueError(f"reference path has length {ref.size}, expected {T}")
+    if ref.min() < 1 or ref.max() > config.k:
+        raise ValueError(f"reference states must lie in 1..{config.k}")
+    ll = _reference_loglik(F, P, slices, ref, config.k, config.h)
     if ll is None:
-        decoded = local_decode(state_marginals(forward_joint_pass(slices, config)))
-        ll = _reference_loglik(params, config, y_arr, slices, decoded)
-        if ll is None:
-            raise StructuralZeroError("locally decoded reference path still hits a zero posterior")
+        raise StructuralZeroError("reference path hits a zero posterior; supply another admissible path")
     return ll
 
 

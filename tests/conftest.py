@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hmmsv import ModelConfig, ParameterSet
+from hmmsv import ModelConfig, ParameterSet, emission_matrix
+from hmmsv.recursion import _backward_pass, _prior_stack
 
 
 def random_parameters(k, h, rng, diag_bias=0.0, sigma_range=(0.4, 4.0)):
@@ -31,6 +32,13 @@ def random_instance(seed, k=None, h=None, T=None, k_max=3, h_max=2, T_max=6):
     params = random_parameters(k, h, rng)
     y = rng.normal(0.0, 2.0, size=T)
     return config, params, y
+
+
+def batched_slices(group, config, y):
+    """(S, T, k**h, k) slices of the parameter sets in group from one batched pass."""
+    F = np.stack([emission_matrix(y, p.sigma) for p in group])
+    P = np.stack([_prior_stack(p) for p in group])
+    return _backward_pass(F, P, config.k, config.h)
 
 
 @pytest.fixture

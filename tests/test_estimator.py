@@ -11,6 +11,8 @@ from hmmsv import (
     EstimationError,
     ModelConfig,
     ParameterSet,
+    StructuralZeroError,
+    backward_pass,
     bic,
     brute_force_joint,
     bw_backward,
@@ -18,13 +20,15 @@ from hmmsv import (
     e_step,
     fit,
     grid_search,
+    log_likelihood,
     m_step,
     param_count,
     simulate,
     state_marginals,
 )
+from hmmsv.estimator import _initial_parameters, _run_em
 
-from conftest import random_instance, random_parameters
+from conftest import batched_slices, random_instance, random_parameters
 
 
 def npdf_log(y, s):
@@ -251,12 +255,123 @@ def test_fit_likelihood_drop_is_not_convergence(monkeypatch):
     lls = iter([-10.0, -9.0, -9.5, -9.5])
 
     def scripted_e_step(params, config, y):
-        return real_e_step(params, config, y)[0], next(lls)
+        # fit hands e_step its starts as one batch, here a batch of one
+        return real_e_step(params, config, y)[0], [next(lls)]
 
     monkeypatch.setattr(hmmsv.estimator, "e_step", scripted_e_step)
     res = fit(ModelConfig(k=1, h=0), np.array([0.3, -1.2, 0.8]), EMSettings(n_starts=1))
     assert np.array_equal(res.trace, [-10.0, -9.0, -9.5, -9.5])
     assert not res.converged
+
+
+# ---------------------------------------------------------------------------
+# lockstep starts
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(deadline=None, max_examples=25)
+def test_e_step_batch_matches_single_starts(seed):
+    config, params, y = random_instance(seed, k_max=4, h_max=3, T_max=60)
+    rng = np.random.default_rng(seed)
+    group = [params] + [random_parameters(config.k, config.h, rng, diag_bias=0.5) for _ in range(2)]
+    alone = []
+    for p in group:
+        try:
+            alone.append(backward_pass(p, config, y))
+        except StructuralZeroError:
+            alone.append(None)
+    failed = [i for i, a in enumerate(alone) if a is None]
+    if failed:
+        with pytest.raises(StructuralZeroError) as info:
+            e_step(group, config, y)
+        assert info.value.start in failed
+        return
+    slices = batched_slices(group, config, y)
+    joints, lls = e_step(group, config, y)
+    for i, p in enumerate(group):
+        solo_joints, solo_ll = e_step(p, config, y)
+        assert np.array_equal(slices[i], alone[i])
+        assert np.array_equal(joints[i], solo_joints)
+        assert lls[i] == solo_ll == log_likelihood(p, config, y, alone[i])
+
+
+def _params_parts(params):
+    return [params.sigma, params.pi, *params.early]
+
+
+def test_lockstep_starts_equal_their_solo_runs():
+    # the starts leave the batch at different iterations; each one's
+    # parameters, trace and convergence flag are those of its run alone
+    config = ModelConfig(k=2, h=1)
+    truth = ParameterSet(
+        early=(np.array([[0.5, 0.5]]),),
+        pi=np.array([[0.9, 0.1], [0.15, 0.85]]),
+        sigma=np.array([1.0, 3.0]),
+    )
+    _, series = simulate(config, truth, 300, seed=12)
+    y = series.y
+    settings = EMSettings(max_iterations=40, rel_tolerance=1e-6)
+    starts = [_initial_parameters(config, y, np.random.default_rng([0, s]), s == 0) for s in range(5)]
+    together = _run_em(starts, config, y, settings)
+    assert len({len(trace) for _, trace, _ in together}) > 1
+    assert {converged for _, _, converged in together} == {True, False}
+    for start, (params, trace, converged) in zip(starts, together):
+        ((solo_params, solo_trace, solo_converged),) = _run_em([start], config, y, settings)
+        assert np.array_equal(trace, solo_trace)
+        assert converged == solo_converged
+        for got, want in zip(_params_parts(params), _params_parts(solo_params)):
+            assert np.array_equal(got, want)
+
+
+def test_fit_drops_a_start_that_breaks_the_peel_bound():
+    # start 0 drives transitions to about 1e-150 and trips the peel's bound
+    # check; start 1 fits
+    config, _, y = random_instance(0, k_max=4, h_max=3, T_max=40)
+    res = fit(config, y, EMSettings(n_starts=2, max_iterations=60))
+    assert res.start_index == 1
+    assert res.loglik == pytest.approx(-40.35, abs=0.005)
+    with pytest.raises(EstimationError, match=r"start 0: peel produced entries outside \[0, 1\]"):
+        fit(config, y, EMSettings(n_starts=1, max_iterations=60))
+
+
+def test_fit_names_every_failed_start():
+    config, _, y = random_instance(50, k_max=4, h_max=3, T_max=40)
+    with pytest.raises(EstimationError, match="all starts failed: start 0: .*; start 1: "):
+        fit(config, y, EMSettings(n_starts=2, max_iterations=60))
+
+
+def test_fit_propagates_other_value_errors(monkeypatch, rng):
+    import hmmsv.estimator
+
+    def broken_m_step(*args, **kwargs):
+        raise ValueError("broken m_step")
+
+    monkeypatch.setattr(hmmsv.estimator, "m_step", broken_m_step)
+    with pytest.raises(ValueError, match="broken m_step"):
+        fit(ModelConfig(k=2, h=1), rng.normal(0, 1.5, size=40), EMSettings(n_starts=3, max_iterations=5))
+
+
+def test_emission_matrix_built_once_per_start_per_e_step(monkeypatch, rng):
+    import hmmsv.estimator
+    import hmmsv.recursion
+
+    calls = []
+    real = hmmsv.estimator.emission_matrix
+
+    def counting(y, sigma):
+        calls.append(1)
+        return real(y, sigma)
+
+    for module in (hmmsv.estimator, hmmsv.recursion):
+        monkeypatch.setattr(module, "emission_matrix", counting)
+    config = ModelConfig(k=2, h=1)
+    y = rng.normal(0, 1.5, size=80)
+    e_step([random_parameters(2, 1, rng) for _ in range(3)], config, y)
+    assert len(calls) == 3
+    calls.clear()
+    # no start converges in 4 M-steps at this tolerance, so each runs 5 E-steps
+    fit(config, y, EMSettings(n_starts=3, max_iterations=4, rel_tolerance=1e-15))
+    assert len(calls) == 3 * 5
 
 
 def test_fit_validates_settings():

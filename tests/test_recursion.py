@@ -23,8 +23,10 @@ from hmmsv import (
     state_marginals,
     windowed_full_conditional,
 )
+from hmmsv import recursion
+from hmmsv.recursion import _forward_joint_pass
 
-from conftest import random_instance, random_parameters
+from conftest import batched_slices, random_instance, random_parameters
 
 
 def npdf(y, s):
@@ -331,6 +333,78 @@ def test_backward_pass_handles_structural_zeros():
         )
     ll = log_likelihood(params, config, y, slices)
     assert ll == pytest.approx(exact.loglik, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# start axis: several parameter sets share one pass
+
+
+def assert_batch_matches_alone(group, config, y):
+    """Every start's slices and joints in the batch are its bits alone."""
+    alone = [backward_pass(p, config, y) for p in group]
+    slices = batched_slices(group, config, y)
+    joints = _forward_joint_pass(slices, config.k, config.h)
+    assert slices.shape == joints.shape == (len(group), y.size, config.k**config.h, config.k)
+    for i, want in enumerate(alone):
+        assert np.array_equal(slices[i], want)
+        assert np.array_equal(joints[i], forward_joint_pass(want, config))
+
+
+def test_batch_mixes_zero_mass_and_positive_starts(rng):
+    # the start with exact zeros takes the zero-mass peel path; the positive
+    # starts beside it keep the checked fast path and their own bits
+    config = ModelConfig(k=2, h=2)
+    zero = ParameterSet(
+        early=(np.array([[1.0, 0.0]]), np.array([[0.7, 0.3], [0.4, 0.6]])),
+        pi=np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 0.8], [0.0, 1.0]]),
+        sigma=np.array([1.0, 2.0]),
+    )
+    # near-certain transitions put conditionals within rounding of one; the
+    # fast path keeps a value a hair above one that the zero-mass path clamps
+    near_one = ParameterSet(
+        early=(np.array([[0.5, 0.5]]), np.array([[1.0 - 1e-13, 1e-13], [1e-13, 1.0 - 1e-13]])),
+        pi=np.tile([[1.0 - 1e-13, 1e-13], [1e-13, 1.0 - 1e-13]], (2, 1)),
+        sigma=np.array([0.5, 3.0]),
+    )
+    y = rng.normal(0, 1.5, size=30)
+    assert np.any(backward_pass(zero, config, y) == 0.0)
+    group = [random_parameters(2, 2, rng), zero, near_one, random_parameters(2, 2, rng)]
+    assert_batch_matches_alone(group, config, y)
+
+
+def test_batch_crosses_block_boundaries(rng, monkeypatch):
+    config = ModelConfig(k=2, h=1)
+    group = [random_parameters(2, 1, rng) for _ in range(4)]
+    y = rng.normal(0, 1.5, size=recursion._BLOCK // 4 + 100)
+    assert_batch_matches_alone(group, config, y)
+    # small blocks: the rows build independently, so block size leaves the
+    # bits alone for a single start as well as for a batch
+    config, params, y = random_instance(71, k=3, h=2, T=50)
+    group = [params, random_parameters(3, 2, rng), random_parameters(3, 2, rng)]
+    alone = [backward_pass(p, config, y) for p in group]
+    monkeypatch.setattr(recursion, "_BLOCK", 16)
+    assert y.size > recursion._BLOCK // len(group)
+    assert np.array_equal(backward_pass(params, config, y), alone[0])
+    slices = batched_slices(group, config, y)
+    for i, want in enumerate(alone):
+        assert np.array_equal(slices[i], want)
+
+
+def test_peel_bound_error_names_its_start(rng):
+    # an observation 60 sigma out underflows every emission at that occasion
+    config = ModelConfig(k=2, h=1)
+    early, pi = (np.array([[0.5, 0.5]]),), np.array([[0.9, 0.1], [0.2, 0.8]])
+    bad = ParameterSet(early=early, pi=pi, sigma=np.array([1.0, 1.2]))
+    good = ParameterSet(early=early, pi=pi, sigma=np.array([1.0, 30.0]))
+    y = rng.normal(0, 1, size=300)
+    y[150] = 60.0
+    with pytest.raises(StructuralZeroError, match="outside") as info:
+        backward_pass(bad, config, y)
+    assert info.value.start == 0
+    with pytest.raises(StructuralZeroError, match="outside") as info:
+        batched_slices([good, good, bad, good], config, y)
+    assert info.value.start == 2
+    backward_pass(good, config, y)
 
 
 # ---------------------------------------------------------------------------
