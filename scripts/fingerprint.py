@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Fingerprint the engine's outputs: one sha256 per output family.
+
+Runs the public API over a fixed set of random instances (k <= 4, h <= 3,
+T <= 60; every other draw has exact zeros in its transitions, so the
+zero-mass peel path runs too) and prints one digest for each family:
+
+- slices: backward_pass
+- joints: forward_joint_pass of those slices
+- loglik: log_likelihood of those slices
+- e_step: a batched e_step over three parameter sets, joints and
+  log-likelihoods, or the failing start
+- fit: fit with three starts and 25 iterations: parameters, trace,
+  converged flag, winning start and log-likelihood
+
+Errors enter a digest by type and message. Equal digests from two commits
+mean equal bits on these instances, on the same numpy build and machine.
+
+    python scripts/fingerprint.py [--draws 40]
+"""
+
+import argparse
+import hashlib
+import warnings
+
+import numpy as np
+
+from hmmsv import (
+    EMSettings,
+    EstimationError,
+    ModelConfig,
+    ParameterSet,
+    StructuralZeroError,
+    backward_pass,
+    e_step,
+    fit,
+    forward_joint_pass,
+    log_likelihood,
+)
+
+FAMILIES = ("slices", "joints", "loglik", "e_step", "fit")
+
+
+def random_set(k: int, h: int, rng, zeros: bool) -> ParameterSet:
+    """Random tables; with zeros, each row's smallest entry becomes exactly 0."""
+
+    def table(rows: int) -> np.ndarray:
+        out = rng.dirichlet(np.ones(k), size=rows)
+        if zeros and k > 1:
+            out[np.arange(rows), out.argmin(axis=1)] = 0.0
+            out /= out.sum(axis=1, keepdims=True)
+        return out
+
+    early = tuple(table(k**i) for i in range(h))
+    return ParameterSet(early=early, pi=table(k**h), sigma=np.sort(rng.uniform(0.4, 4.0, size=k)))
+
+
+def feed(digest, value) -> None:
+    """Add arrays, numbers, tuples and errors to digest, shapes included."""
+    if isinstance(value, Exception):
+        digest.update(f"{type(value).__name__}:{value}:{getattr(value, 'start', '')}".encode())
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            feed(digest, item)
+    else:
+        arr = np.ascontiguousarray(value, dtype=float)
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+
+
+def attempt(fn):
+    try:
+        return fn()
+    except (StructuralZeroError, EstimationError) as exc:
+        return exc
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--draws", type=int, default=40)
+    args = parser.parse_args()
+    digests = {name: hashlib.sha256() for name in FAMILIES}
+    warnings.simplefilter("ignore")
+    for seed in range(args.draws):
+        rng = np.random.default_rng([seed, 2718])
+        k, h, T = int(rng.integers(1, 5)), int(rng.integers(0, 4)), int(rng.integers(1, 61))
+        config = ModelConfig(k=k, h=h)
+        group = [random_set(k, h, rng, zeros=(seed % 2 == 1) and i == 0) for i in range(3)]
+        y = rng.normal(0.0, 2.0, size=T)
+        slices = attempt(lambda: backward_pass(group[0], config, y))
+        feed(digests["slices"], slices)
+        if not isinstance(slices, Exception):
+            feed(digests["joints"], forward_joint_pass(slices, config))
+            feed(digests["loglik"], attempt(lambda: log_likelihood(group[0], config, y, slices)))
+        feed(digests["e_step"], attempt(lambda: e_step(group, config, y)))
+        res = attempt(lambda: fit(config, y, EMSettings(n_starts=3, max_iterations=25, seed=seed)))
+        if not isinstance(res, Exception):
+            p = res.params
+            res = (p.sigma, p.pi, *p.early, res.trace, float(res.converged), float(res.start_index), res.loglik)
+        feed(digests["fit"], res)
+    print(f"numpy {np.__version__}, {args.draws} draws")
+    for name in FAMILIES:
+        print(f"{name:7s} {digests[name].hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -37,6 +37,7 @@ from .oracle import (
     bw_backward,
     bw_forward,
     bw_posteriors,
+    lag_chain_loglik,
 )
 from .estimator import (
     DegenerateStateWarning,
@@ -81,6 +82,7 @@ __all__ = [
     "bw_backward",
     "bw_forward",
     "bw_posteriors",
+    "lag_chain_loglik",
     "DegenerateStateWarning",
     "EMSettings",
     "EstimationError",

@@ -22,6 +22,7 @@ from .recursion import (
     _backward_pass,
     _default_loglik,
     _forward_joint_pass,
+    _posterior_array,
     _prior_stack,
     backward_pass,  # noqa: F401 -- unused here; bench/selftest.py checks that tracing rebinds it
     state_marginals,
@@ -83,31 +84,33 @@ def e_step(params, config: ModelConfig, y):
     (u_1, ..., u_t) for t <= h, and state_marginals(joints) gives the
     smoothed state probabilities.
 
-    params may also be a sequence of S parameter sets. They run through one
-    batched backward and forward pass, joints gains a leading start axis and
-    ll becomes a list of S floats; each start gets the bits it gets alone.
-    A StructuralZeroError carries the failing position in its start
-    attribute. Each start's emission matrix is built once and serves both
-    the passes and the likelihood.
+    params may also be a non-empty sequence of S parameter sets. They run
+    through one batched pass whose arrays are time first; joints comes back
+    as an (S, T, k**h, k) transposed view, so joints[i] is start i without a
+    copy, and ll as a list of S floats, each start's bits as if alone. A
+    StructuralZeroError carries the failing position in its start attribute.
+    Each start's emission matrix is built once for the passes and likelihood.
     """
     batch = not isinstance(params, ParameterSet)
     group = list(params) if batch else [params]
+    if not group:
+        raise ValueError("e_step needs at least one parameter set")
     for p in group:
         _check_compat(p, config)
     y_arr = as_array(y)
     k, h = config.k, config.h
-    F = np.stack([emission_matrix(y_arr, p.sigma) for p in group])
+    F = np.stack([emission_matrix(y_arr, p.sigma) for p in group], axis=1)
     P = np.stack([_prior_stack(p) for p in group])
     slices = _backward_pass(F, P, k, h)
     joints = _forward_joint_pass(slices, k, h)
     lls = []
     for i in range(len(group)):
         try:
-            lls.append(_default_loglik(F[i], P[i], slices[i], config, joints[i]))
+            lls.append(_default_loglik(F[:, i], P[i], slices[:, i], config, joints[:, i]))
         except StructuralZeroError as exc:
             exc.start = i
             raise
-    return (joints, lls) if batch else (joints[0], lls[0])
+    return (joints.transpose(1, 0, 2, 3), lls) if batch else (joints[:, 0], lls[0])
 
 
 def _normalize_rows(z: np.ndarray, k: int) -> np.ndarray:
@@ -128,6 +131,7 @@ def m_step(joints: np.ndarray, y, config: ModelConfig, prev: ParameterSet | None
     y_arr = as_array(y)
     k, h = config.k, config.h
     T = y_arr.size
+    joints = _posterior_array(joints, config, "joints", T)
     w = state_marginals(joints)
     totals = w.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -1,9 +1,11 @@
 """Reference implementations used to cross-check the peeling engine.
 
-Two independent routes: scaled forward-backward smoothing for first-order
-chains, and exact enumeration over all state paths for any order on short
-series. The scaled recursions deliberately carry the per-occasion
-renormalization that the peeling engine does without.
+Three independent routes: scaled forward-backward smoothing for first-order
+chains, a scaled forward recursion over the chain of lag windows that gives
+the likelihood for any order at any length, and exact enumeration over all
+state paths for any order on short series. The scaled recursions
+deliberately carry the per-occasion renormalization that the peeling engine
+does without.
 """
 
 from __future__ import annotations
@@ -90,6 +92,36 @@ def bw_posteriors(tables: ForwardBackwardTables):
             / c[t + 1]
         )
     return marginals, pairwise
+
+
+def lag_chain_loglik(params: ParameterSet, config: ModelConfig, y) -> float:
+    """Log-likelihood by the scaled forward recursion on the lag-window chain.
+
+    An order-h chain is a first-order chain on its k**h windows of lags
+    (Zucchini, MacDonald & Langrock, Hidden Markov Models for Time Series,
+    2nd ed., section 3). The filtering mass over the lags of occasion t starts
+    as a unit mass on the all-padding window (index 0) and carries the
+    layout of ParameterSet.pi; each occasion multiplies it into its padded
+    transition table and emission row, normalizes, and sums out the oldest
+    lag. Any order, any length; the tables come from params.transition.
+    """
+    _check_compat(params, config)
+    y_arr = as_array(y)
+    k, h = config.k, config.h
+    F = emission_matrix(y_arr, params.sigma)
+    a = np.zeros(k**h)
+    a[0] = 1.0
+    loglik = 0.0
+    for t in range(1, y_arr.size + 1):
+        table = params.transition(t)
+        # the lags before the series start lead the row index
+        joint = a[:, None] * np.tile(table, (k**h // table.shape[0], 1)) * F[t - 1]
+        c = joint.sum()
+        if not c > 0:
+            raise ValueError(f"zero forward mass at occasion {t}")
+        loglik += np.log(c)
+        a = (joint / c).reshape(k, -1).sum(axis=0) if h else np.ones(1)
+    return float(loglik)
 
 
 def _logsumexp(values: np.ndarray) -> float:

@@ -60,10 +60,10 @@ def _prior_stack(params: ParameterSet) -> np.ndarray:
 def _conditionals(F: np.ndarray, priors: np.ndarray, k: int, h: int):
     """Full conditionals and numerators for a block of occasions t.
 
-    F holds the block's emission rows time first, as an (n, S, k) array over
-    S starts. priors[:, l] is each start's padded prior row of occasion
-    t + l, shared by the whole block, so the window (u_{t-h}, ..., u_{t+j})
-    has j = priors.shape[1] - 1 future states. Returns two
+    F holds the block's emission rows time first, like every batched array:
+    (n, S, k) over S starts. priors[:, l] is each start's padded prior row of
+    occasion t + l, shared by the whole block, so the window (u_{t-h}, ...,
+    u_{t+j}) has j = priors.shape[1] - 1 future states. Returns two
     (n, S, k**(h+1+j)) arrays: q, normalized over u_t, and the numerator.
     """
     n, S = F.shape[:2]
@@ -86,6 +86,16 @@ def _block_priors(P: np.ndarray, t: int, j: int) -> np.ndarray:
     return P[:, np.minimum(np.arange(t - 1, t + j), P.shape[1] - 1)]
 
 
+def _posterior_array(arr, config: ModelConfig, name: str, T: int | None = None) -> np.ndarray:
+    """arr as a float array, or a ValueError unless its shape is (T, k**h, k);
+    T defaults to len(arr)."""
+    arr = np.asarray(arr, dtype=float)
+    want = (len(arr) if T is None and arr.ndim else T, config.k**config.h, config.k)
+    if arr.shape != want:
+        raise ValueError(f"{name} must have shape (T, k**h, k) = {want}, got {arr.shape}")
+    return arr
+
+
 def _bound_error(over: np.ndarray) -> StructuralZeroError:
     """The error for the first start flagged in over."""
     return StructuralZeroError(
@@ -100,11 +110,11 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
 
     q_inner holds the window conditionals of S starts one after another,
     flat, and q_next their (S, 1, m) target slices of the occasion being
-    removed; the result is flat in the same way. Each start takes its own
-    path, so its bits do not depend on the batch: the fast path when its
-    q_inner is positive, with every output checked against one, and the
-    zero-mass path otherwise. A failed check raises StructuralZeroError
-    naming the start.
+    removed; the result is flat in the same way. If all of q_inner is
+    positive, the fast path checks every output against one; otherwise the
+    zero-mass rule gives each start with a positive window the same bits and
+    check and clamps the others, so no start's bits depend on the batch. A
+    failed check raises StructuralZeroError naming the start.
 
     Callers ignore floating-point over, divide and invalid warnings: a ratio
     may overflow when the divisor is subnormal, and the infinite reciprocal
@@ -119,23 +129,19 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
             raise _bound_error(out.reshape(S, -1).max(axis=1) > 1.0 + _ENTRY_TOL)
         return out
     # zero-mass numerators contribute nothing; a positive numerator over a
-    # zero denominator blows the sum up, collapsing the output to zero mass
-    zeroed = np.where(q_next == 0.0, 0.0, ratio)
-    out = 1.0 / zeroed.reshape(-1, k).sum(axis=1)
+    # zero denominator blows the sum up, collapsing the output to zero mass;
+    # on a positive window ratio is 0.0 there already: the fast path's bits
+    out = (1.0 / np.where(q_next == 0.0, 0.0, ratio).reshape(-1, k).sum(axis=1)).reshape(S, -1)
+    positive = q_inner.reshape(S, -1).min(axis=1) > 0.0
+    over = positive & (out.max(axis=1) > 1.0 + _ENTRY_TOL)
+    if over.any():
+        raise _bound_error(over)
     # values are exact wherever the conditioning configuration is reachable;
     # a zero-probability configuration has no defined conditional, so its
     # entries are only kept as bounded placeholders that never receive
     # posterior mass downstream
-    out = np.minimum(np.where(np.isfinite(out), out, 0.0), 1.0)
-    if S == 1:
-        return out
-    # the starts whose window holds no zero keep the checked fast path
-    positive = q_inner.reshape(S, -1).min(axis=1) > 0.0
-    fast = (1.0 / ratio.reshape(-1, k).sum(axis=1)).reshape(S, -1)
-    over = positive & (fast.max(axis=1) > 1.0 + _ENTRY_TOL)
-    if over.any():
-        raise _bound_error(over)
-    return np.where(positive[:, None], fast, out.reshape(S, -1)).reshape(-1)
+    clamped = np.minimum(np.where(np.isfinite(out), out, 0.0), 1.0)
+    return np.where(positive[:, None], out, clamped).reshape(-1)
 
 
 def windowed_full_conditional(
@@ -187,12 +193,11 @@ def peel(q_inner: np.ndarray, q_next: np.ndarray) -> np.ndarray:
 
 
 def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
-    """(S, T, k**h, k) target slices of S starts from their (S, T, k)
-    emission rows and (S, h+1, k**(h+1)) prior stacks; see backward_pass."""
-    S, T = F.shape[:2]
-    # the work runs time first, so each occasion is one index away and its
-    # rows of every start lie flat, side by side
-    F = F.transpose(1, 0, 2)
+    """(T, S, k**h, k) target slices of S starts, [:, i] for start i, from
+    their (T, S, k) emission rows and (S, h+1, k**(h+1)) prior stacks; see
+    backward_pass. Time first, each occasion is one index away and its rows
+    of every start lie flat, side by side."""
+    T, S = F.shape[:2]
     Q = np.empty((T, S, k**h, k))
     flat = Q.reshape(T, -1)
     divisors = Q.reshape(T, S, 1, -1)
@@ -215,8 +220,7 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
                         vals = _peel(vals, divisors[s + jj], k)
                     flat[s - 1] = vals
             t = a - 1
-    # a copy only when S > 1
-    return np.ascontiguousarray(Q.transpose(1, 0, 2, 3))
+    return Q
 
 
 def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
@@ -238,18 +242,16 @@ def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
     """
     _check_compat(params, config)
     y_arr = as_array(y)
-    F = emission_matrix(y_arr, params.sigma)[None]
-    return _backward_pass(F, _prior_stack(params)[None], config.k, config.h)[0]
+    F = emission_matrix(y_arr, params.sigma)[:, None]
+    return _backward_pass(F, _prior_stack(params)[None], config.k, config.h)[:, 0]
 
 
 def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
-    """(S, T, k**h, k) joints from the slices of S starts; see forward_joint_pass."""
+    """(T, S, k**h, k) joints from (T, S, k**h, k) slices; see forward_joint_pass."""
     if h == 0:
         # the posterior factorizes over occasions, so each joint is its slice
         return Q.copy()
-    S, T = Q.shape[:2]
-    # time first, as in _backward_pass
-    Q = Q.transpose(1, 0, 2, 3)
+    T, S = Q.shape[:2]
     J = np.empty(Q.shape)
     # summing axis 1 of an occasion in this view drops its oldest lag
     lags = J.reshape(T, S, k, -1, 1)
@@ -258,7 +260,7 @@ def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
     for t in range(T):
         J[t] = Q[t] * carried
         carried = lags[t].sum(axis=1)
-    return np.ascontiguousarray(J.transpose(1, 0, 2, 3))
+    return J
 
 
 def forward_joint_pass(slices, config: ModelConfig) -> np.ndarray:
@@ -270,8 +272,8 @@ def forward_joint_pass(slices, config: ModelConfig) -> np.ndarray:
     carried over the lags, which is the previous joint with its oldest
     variable summed out.
     """
-    Q = np.asarray(slices, dtype=float)
-    return _forward_joint_pass(Q[None], config.k, config.h)[0]
+    Q = _posterior_array(slices, config, "slices")
+    return _forward_joint_pass(Q[:, None], config.k, config.h)[:, 0]
 
 
 def state_marginals(joints) -> np.ndarray:
@@ -350,8 +352,7 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     _check_compat(params, config)
     y_arr = as_array(y)
     T = y_arr.size
-    if len(slices) != T:
-        raise ValueError(f"got {len(slices)} slices for {T} observations")
+    slices = _posterior_array(slices, config, "slices", T)
     F = emission_matrix(y_arr, params.sigma)
     P = _prior_stack(params)
     if reference is None:
@@ -387,18 +388,22 @@ class Prediction:
 def predict(params: ParameterSet, config: ModelConfig, history) -> Prediction:
     """Predict the next latent state and the distribution of the next observation.
 
-    history is either a decoded state path (1-based labels, at least the last
-    min(T, h) states) or the (T, k**h, k) array of backward-pass slices, in
-    which case local decoding runs first. Past the chain order the
-    conditional posterior of the next state given the fixed window is just
-    its transition row.
+    history is either a flat decoded state path (integer labels 1..k, at
+    least the last min(T, h) states) or the (T, k**h, k) array of
+    backward-pass slices, in which case local decoding runs first. Past the
+    chain order the conditional posterior of the next state given the fixed
+    window is just its transition row.
     """
     _check_compat(params, config)
     hist = np.asarray(history)
-    if hist.ndim == 3:
+    if hist.ndim > 1:
         states = local_decode(state_marginals(forward_joint_pass(hist, config)))
     else:
-        states = hist.astype(np.int64).reshape(-1)
+        hist = hist.reshape(-1)
+        whole = np.isfinite(hist) & (np.floor(hist) == hist)
+        if not whole.all():
+            raise ValueError(f"state labels must be integers, got {hist[~whole][0]}")
+        states = hist.astype(np.int64)
     k, h = config.k, config.h
     if states.size and (states.min() < 1 or states.max() > k):
         raise ValueError(f"state labels must lie in 1..{k}")

@@ -35,8 +35,9 @@ def random_instance(seed, k=None, h=None, T=None, k_max=3, h_max=2, T_max=6):
 
 
 def batched_slices(group, config, y):
-    """(S, T, k**h, k) slices of the parameter sets in group from one batched pass."""
-    F = np.stack([emission_matrix(y, p.sigma) for p in group])
+    """(T, S, k**h, k) slices of the parameter sets in group from one batched
+    pass, time first like the engine; [:, i] is the set group[i]."""
+    F = np.stack([emission_matrix(y, p.sigma) for p in group], axis=1)
     P = np.stack([_prior_stack(p) for p in group])
     return _backward_pass(F, P, config.k, config.h)
 

@@ -6,13 +6,17 @@ import pytest
 from hmmsv import (
     ModelConfig,
     ParameterSet,
+    backward_pass,
     brute_force_joint,
     bw_backward,
     bw_forward,
     bw_posteriors,
+    lag_chain_loglik,
+    log_likelihood,
+    simulate,
 )
 
-from conftest import random_parameters
+from conftest import random_instance, random_parameters
 
 
 def first_order(k, rng=None, uniform=False):
@@ -181,3 +185,43 @@ def test_brute_force_window_posterior_validation(rng):
         result.window_posterior([3, 2])
     with pytest.raises(ValueError):
         result.window_posterior([1, 5])
+
+
+def test_lag_chain_matches_enumeration():
+    # any order, structural zeros included
+    config = ModelConfig(k=2, h=2)
+    zero = ParameterSet(
+        early=(np.array([[1.0, 0.0]]), np.array([[0.7, 0.3], [0.4, 0.6]])),
+        pi=np.array([[1.0, 0.0], [0.5, 0.5], [0.2, 0.8], [0.0, 1.0]]),
+        sigma=np.array([1.0, 2.0]),
+    )
+    cases = [random_instance(seed, k_max=3, h_max=3, T_max=8) for seed in range(100)]
+    cases.append((config, zero, np.array([0.3, -1.2, 2.5, 0.1, -0.7, 1.9, 0.4])))
+    for config, params, y in cases:
+        exact = brute_force_joint(params, config, y).loglik
+        assert lag_chain_loglik(params, config, y) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def test_lag_chain_matches_scaled_forward_at_first_order():
+    for seed in range(20):
+        config, params, y = random_instance(seed, h=1, k_max=4, T_max=300)
+        assert lag_chain_loglik(params, config, y) == pytest.approx(bw_forward(params, config, y).loglik, rel=1e-12)
+
+
+@pytest.mark.parametrize("k, h", [(3, 2), (2, 3)])
+def test_lag_chain_matches_engine_on_long_series(k, h):
+    # enumeration stops near T = 12 and bw_forward at h = 1; the lag chain
+    # judges the engine at higher orders and full length
+    rng = np.random.default_rng(100 * k + h)
+    config = ModelConfig(k=k, h=h)
+    params = random_parameters(k, h, rng, diag_bias=0.6)
+    _, y = simulate(config, params, 2000, seed=h)
+    ll = log_likelihood(params, config, y, backward_pass(params, config, y))
+    assert lag_chain_loglik(params, config, y) == pytest.approx(ll, rel=1e-10)
+
+
+def test_lag_chain_reports_zero_mass():
+    config = ModelConfig(k=2, h=0)
+    params = ParameterSet(early=(), pi=np.array([[1.0, 0.0]]), sigma=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="zero forward mass at occasion 1"):
+        lag_chain_loglik(params, config, [40.0])

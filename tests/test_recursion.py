@@ -344,10 +344,10 @@ def assert_batch_matches_alone(group, config, y):
     alone = [backward_pass(p, config, y) for p in group]
     slices = batched_slices(group, config, y)
     joints = _forward_joint_pass(slices, config.k, config.h)
-    assert slices.shape == joints.shape == (len(group), y.size, config.k**config.h, config.k)
+    assert slices.shape == joints.shape == (y.size, len(group), config.k**config.h, config.k)
     for i, want in enumerate(alone):
-        assert np.array_equal(slices[i], want)
-        assert np.array_equal(joints[i], forward_joint_pass(want, config))
+        assert np.array_equal(slices[:, i], want)
+        assert np.array_equal(joints[:, i], forward_joint_pass(want, config))
 
 
 def test_batch_mixes_zero_mass_and_positive_starts(rng):
@@ -387,7 +387,7 @@ def test_batch_crosses_block_boundaries(rng, monkeypatch):
     assert np.array_equal(backward_pass(params, config, y), alone[0])
     slices = batched_slices(group, config, y)
     for i, want in enumerate(alone):
-        assert np.array_equal(slices[i], want)
+        assert np.array_equal(slices[:, i], want)
 
 
 def test_peel_bound_error_names_its_start(rng):
@@ -405,6 +405,13 @@ def test_peel_bound_error_names_its_start(rng):
         batched_slices([good, good, bad, good], config, y)
     assert info.value.start == 2
     backward_pass(good, config, y)
+    # beside a start with exact zeros the batch takes the zero-mass path,
+    # which still checks the starts whose window is positive
+    zero = ParameterSet(early=(np.array([[1.0, 0.0]]),), pi=np.array([[0.5, 0.5], [0.0, 1.0]]), sigma=good.sigma)
+    assert np.any(backward_pass(zero, config, y) == 0.0)
+    with pytest.raises(StructuralZeroError, match="outside") as info:
+        batched_slices([zero, bad], config, y)
+    assert info.value.start == 1
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +584,24 @@ def test_loglik_default_falls_back_to_decoded_path():
     assert ll == pytest.approx(brute_force_joint(params, config, y).loglik, abs=1e-10)
 
 
+def test_posterior_arrays_are_checked_by_shape():
+    # a wrong shape used to give a wrong likelihood or a numpy reshape error
+    config, params, y = random_instance(3, k=2, h=1, T=50)
+    bad = np.full((50, 3, 3), 1.0 / 3)
+    named = r"slices must have shape \(T, k\*\*h, k\) = \(50, 2, 2\), got \(50, 3, 3\)"
+    with pytest.raises(ValueError, match=named):
+        log_likelihood(params, config, y, bad)
+    with pytest.raises(ValueError, match=r"= \(50, 2, 2\), got \(50, 4\)"):
+        log_likelihood(params, config, y, np.full((50, 4), 0.5))
+    with pytest.raises(ValueError, match=r"= \(50, 2, 2\), got \(49, 2, 2\)"):
+        log_likelihood(params, config, y, backward_pass(params, config, y[:49]))
+    for call in (lambda: forward_joint_pass(bad, config), lambda: predict(params, config, bad)):
+        with pytest.raises(ValueError, match=named):
+            call()
+    with pytest.raises(ValueError, match=r"= \(50, 2, 2\), got \(50, 4\)"):
+        predict(params, config, np.full((50, 4), 0.5))
+
+
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -630,3 +655,12 @@ def test_predict_short_series_uses_early_table(rng):
     params = random_parameters(2, 2, rng)
     pred = predict(params, config, [2])
     assert np.allclose(pred.weights, params.early[1][1])
+
+
+def test_predict_rejects_non_integer_labels():
+    config, params, _ = random_instance(3, k=2, h=1, T=5)
+    with pytest.raises(ValueError, match="integers, got 1.5"):
+        predict(params, config, [1.5, 2.7])
+    with pytest.raises(ValueError, match="integers, got nan"):
+        predict(params, config, [1, np.nan])
+    assert predict(params, config, [1.0, 2.0]).weights.tolist() == params.pi[1].tolist()
