@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Time the peeling engine per occasion over a fixed (k, h, T) grid.
+
+For each grid point prints the median microseconds per occasion of the
+private batched passes, _backward_pass and _forward_joint_pass, at S = 1
+and S = 4 parameter sets sharing the series, plus oracle.bw_backward, the
+scaled forward-backward smoother, as the yardstick where it applies
+(h = 1). Emission rows and prior stacks are built outside the timed region.
+
+    python scripts/engine_timing.py [--repeats 5] [--scale 1.0]
+
+--scale shrinks every series length, for a quick smoke run.
+"""
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from hmmsv import ModelConfig, ParameterSet, bw_backward, emission_matrix
+from hmmsv.recursion import _backward_pass, _forward_joint_pass, _prior_stack
+
+GRID = ((2, 1, 10_000), (3, 1, 10_000), (3, 2, 10_000), (4, 2, 10_000), (3, 3, 5_000), (2, 4, 5_000))
+BATCHES = (1, 4)
+
+
+def random_set(k: int, h: int, rng) -> ParameterSet:
+    early = tuple(rng.dirichlet(np.ones(k), size=k**i) for i in range(h))
+    pi = rng.dirichlet(np.ones(k), size=k**h)
+    return ParameterSet(early=early, pi=pi, sigma=np.sort(rng.uniform(0.5, 3.0, size=k)))
+
+
+def median_us(fn, repeats: int, T: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) / T * 1e6
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--scale", type=float, default=1.0)
+    args = parser.parse_args()
+    head = ["k", "h", "T"] + [f"{name} S={S}" for S in BATCHES for name in ("backward", "forward")] + ["bw_backward"]
+    print(f"numpy {np.__version__}, median of {args.repeats}, us per occasion")
+    print("  ".join(f"{c:>12s}" for c in head))
+    for k, h, T in GRID:
+        T = max(2 * h + 2, int(T * args.scale))
+        rng = np.random.default_rng([k, h, T])
+        group = [random_set(k, h, rng) for _ in range(max(BATCHES))]
+        y = rng.normal(0.0, 1.5, size=T)
+        row = [k, h, T]
+        for S in BATCHES:
+            F = np.stack([emission_matrix(y, p.sigma) for p in group[:S]], axis=1)
+            P = np.stack([_prior_stack(p) for p in group[:S]])
+            Q = _backward_pass(F, P, k, h)
+            row.append(median_us(lambda: _backward_pass(F, P, k, h), args.repeats, T))
+            row.append(median_us(lambda: _forward_joint_pass(Q, k, h), args.repeats, T))
+        if h == 1:
+            row.append(median_us(lambda: bw_backward(group[0], ModelConfig(k=k, h=h), y), args.repeats, T))
+        else:
+            row.append("-")
+        print("  ".join(f"{c:>12.2f}" if isinstance(c, float) else f"{c!s:>12s}" for c in row))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

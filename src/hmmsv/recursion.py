@@ -31,7 +31,9 @@ from .core import ModelConfig, ParameterSet, _check_compat, as_array, emission_m
 
 _ENTRY_TOL = 1e-10
 # interior occasions per conditional build: bounds the extra memory of the
-# backward pass at _BLOCK * k**(2h+1) floats
+# backward pass at _BLOCK * k**(2h+1) floats; the lean peel keeps its
+# intermediate outputs in the block rows it consumed, so it adds only
+# per-pass ratio buffers of under two block rows
 _BLOCK = 4096
 
 
@@ -96,6 +98,26 @@ def _posterior_array(arr, config: ModelConfig, name: str, T: int | None = None) 
     return arr
 
 
+def _state_path(labels, k: int, name: str) -> np.ndarray:
+    """labels as a flat int64 array of states 1..k, or a ValueError that
+    names the cause: more than one axis, a label that is not a finite
+    integer, or one out of range."""
+    arr = np.asarray(labels)
+    if arr.ndim > 1:
+        raise ValueError(f"{name} must be a flat sequence of labels, got shape {arr.shape}")
+    arr = arr.reshape(-1)
+    if arr.dtype.kind not in "iu":
+        # integer arrays pass as they are, without a float copy
+        arr = arr.astype(float)
+        whole = np.isfinite(arr) & (np.floor(arr) == arr)
+        if not whole.all():
+            raise ValueError(f"{name} must be integers, got {arr[~whole][0]}")
+    states = arr.astype(np.int64, copy=False)
+    if states.size and (states.min() < 1 or states.max() > k):
+        raise ValueError(f"{name} must lie in 1..{k}")
+    return states
+
+
 def _bound_error(over: np.ndarray) -> StructuralZeroError:
     """The error for the first start flagged in over."""
     return StructuralZeroError(
@@ -110,11 +132,11 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
 
     q_inner holds the window conditionals of S starts one after another,
     flat, and q_next their (S, 1, m) target slices of the occasion being
-    removed; the result is flat in the same way. If all of q_inner is
-    positive, the fast path checks every output against one; otherwise the
-    zero-mass rule gives each start with a positive window the same bits and
-    check and clamps the others, so no start's bits depend on the batch. A
-    failed check raises StructuralZeroError naming the start.
+    removed; the result is flat in the same way. Zero-mass numerators add
+    nothing to the reciprocal sum. A start whose window is positive gets
+    1 / sum(q_next / q_inner) exactly, checked against one: a failed check
+    raises StructuralZeroError naming the start. The other starts are
+    clamped, so no start's bits depend on the batch.
 
     Callers ignore floating-point over, divide and invalid warnings: a ratio
     may overflow when the divisor is subnormal, and the infinite reciprocal
@@ -123,15 +145,12 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
     S, _, m = q_next.shape
     # dividing block-wise is the same as tiling q_next over the wider window
     ratio = q_next / q_inner.reshape(S, -1, m)
-    if q_inner.min() > 0.0:
-        out = 1.0 / ratio.reshape(-1, k).sum(axis=1)
-        if out.max() > 1.0 + _ENTRY_TOL:
-            raise _bound_error(out.reshape(S, -1).max(axis=1) > 1.0 + _ENTRY_TOL)
-        return out
     # zero-mass numerators contribute nothing; a positive numerator over a
     # zero denominator blows the sum up, collapsing the output to zero mass;
-    # on a positive window ratio is 0.0 there already: the fast path's bits
-    out = (1.0 / np.where(q_next == 0.0, 0.0, ratio).reshape(-1, k).sum(axis=1)).reshape(S, -1)
+    # on a positive window the ratio is 0.0 there already: _lean_peel's bits
+    cols = np.where(q_next == 0.0, 0.0, ratio).reshape(-1, k).T
+    # left to right for every k, as in _lean_peel; numpy's sum pairs from k = 8
+    out = (1.0 / sum(cols[1:], cols[0])).reshape(S, -1)
     positive = q_inner.reshape(S, -1).min(axis=1) > 0.0
     over = positive & (out.max(axis=1) > 1.0 + _ENTRY_TOL)
     if over.any():
@@ -142,6 +161,51 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
     # posterior mass downstream
     clamped = np.minimum(np.where(np.isfinite(out), out, 0.0), 1.0)
     return np.where(positive[:, None], out, clamped).reshape(-1)
+
+
+def _lean_peel(block: np.ndarray, Q: np.ndarray, a: int, j: int, ratios: list) -> bool:
+    """Peel a block of positive conditionals with bare ufunc calls.
+
+    block holds the flat conditionals, j future states wide, of occasions
+    a, ..., a + len(block) - 1 of the (T, S, k**h, k) slices Q, which it
+    fills. ratios[f - 1] is the pass's (S, k**f, k**(h+1)) ratio buffer of
+    the peel from f future states to f - 1. A peel is one divide into that
+    buffer, k - 1 adds of its columns, left to right as in _peel, and one
+    reciprocal, all in place. Each occasion's intermediate outputs go, level
+    after level, into its block row, already consumed, so one check per
+    block covers every level. Returns whether the block got _peel's bits:
+    every intermediate output positive, so _peel would take the same
+    formula at the next level, and every output at most 1 + _ENTRY_TOL, not
+    NaN, so no check of _peel would fire. If not, the caller rebuilds the
+    block and runs it through _peel.
+    """
+    n = len(block)
+    T, S, m, k = Q.shape
+    levels, src, used = [], block, 0
+    for f in range(j, 0, -1):
+        ratio = ratios[f - 1]
+        size = ratio.size // k
+        if f > 1:
+            dst = block[:, used : used + size]
+            used += size
+        else:
+            dst = Q.reshape(T, -1)[a - 1 : a - 1 + n]
+        divisors = Q[a + f - 1 : a + f - 1 + n].reshape(n, S, 1, m * k)
+        cols = list(ratio.reshape(-1, k).T)
+        levels.append((divisors, src.reshape((n,) + ratio.shape), dst, ratio, cols[0], cols[1], cols[2:]))
+        src = dst
+    # occasions run backwards: the divisors of one are the slices of later ones
+    for i in range(n - 1, -1, -1):
+        for divisors, inner, dst, ratio, first, second, rest in levels:
+            out = dst[i]
+            np.divide(divisors[i], inner[i], out=ratio)
+            np.add(first, second, out=out)
+            for col in rest:
+                np.add(out, col, out=out)
+            np.divide(1.0, out, out=out)
+    bound = 1.0 + _ENTRY_TOL
+    inter = block[:, :used]
+    return bool(src.max() <= bound) and (not used or bool(inter.min() > 0.0 and inter.max() <= bound))
 
 
 def windowed_full_conditional(
@@ -196,11 +260,18 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
     """(T, S, k**h, k) target slices of S starts, [:, i] for start i, from
     their (T, S, k) emission rows and (S, h+1, k**(h+1)) prior stacks; see
     backward_pass. Time first, each occasion is one index away and its rows
-    of every start lie flat, side by side."""
+    of every start lie flat, side by side.
+
+    A block whose conditionals are all positive runs _lean_peel; a block
+    with a zero, or one that fails _lean_peel's check, runs through _peel
+    one peel at a time, which raises or clamps. So does k = 1, whose
+    intermediate outputs would not fit in the consumed rows.
+    """
     T, S = F.shape[:2]
     Q = np.empty((T, S, k**h, k))
     flat = Q.reshape(T, -1)
     divisors = Q.reshape(T, S, 1, -1)
+    ratios = [np.empty((S, k**f, k ** (h + 1))) for f in range(1, h + 1)]
     lo, hi = h + 1, T - h
     # the block's extra memory stays at _BLOCK * k**(2h+1) floats whatever S is
     span = max(1, _BLOCK // S)
@@ -209,14 +280,19 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
         while t >= 1:
             a = max(lo, t - span + 1) if lo <= t <= hi else t
             j = min(T - t, h)
-            block = _conditionals(F[a - 1 : t], _block_priors(P, a, j), k, h)[0].reshape(t - a + 1, -1)
-            if h == 0:
+            priors = _block_priors(P, a, j)
+            block = _conditionals(F[a - 1 : t], priors, k, h)[0].reshape(t - a + 1, -1)
+            lean = k > 1 and block.min() > 0.0
+            if j == 0:
                 # nothing to peel: the conditionals are the slices
                 flat[a - 1 : t] = block
-            else:
+            elif not (lean and _lean_peel(block, Q, a, j, ratios)):
+                if lean:
+                    # _lean_peel wrote over the rows: rebuild them for _peel
+                    block = _conditionals(F[a - 1 : t], priors, k, h)[0].reshape(t - a + 1, -1)
                 for s in range(t, a - 1, -1):
                     vals = block[s - a]
-                    for jj in range(min(T - s, h) - 1, -1, -1):
+                    for jj in range(j - 1, -1, -1):
                         vals = _peel(vals, divisors[s + jj], k)
                     flat[s - 1] = vals
             t = a - 1
@@ -247,7 +323,11 @@ def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
 
 
 def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
-    """(T, S, k**h, k) joints from (T, S, k**h, k) slices; see forward_joint_pass."""
+    """(T, S, k**h, k) joints from (T, S, k**h, k) slices; see forward_joint_pass.
+
+    Two in-place ufunc calls per occasion: the joint is the slice times the
+    carried lag mass, and the next carried mass sums out its oldest lag.
+    """
     if h == 0:
         # the posterior factorizes over occasions, so each joint is its slice
         return Q.copy()
@@ -257,9 +337,9 @@ def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
     lags = J.reshape(T, S, k, -1, 1)
     carried = np.zeros((S, k**h, 1))
     carried[:, 0] = 1.0
-    for t in range(T):
-        J[t] = Q[t] * carried
-        carried = lags[t].sum(axis=1)
+    for q, joint, lag in zip(Q, J, lags):
+        np.multiply(q, carried, out=joint)
+        np.add.reduce(lag, axis=1, out=carried)
     return J
 
 
@@ -357,11 +437,9 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     P = _prior_stack(params)
     if reference is None:
         return _default_loglik(F, P, slices, config)
-    ref = np.asarray(reference, dtype=np.int64).reshape(-1)
+    ref = _state_path(reference, config.k, "reference states")
     if ref.size != T:
         raise ValueError(f"reference path has length {ref.size}, expected {T}")
-    if ref.min() < 1 or ref.max() > config.k:
-        raise ValueError(f"reference states must lie in 1..{config.k}")
     ll = _reference_loglik(F, P, slices, ref, config.k, config.h)
     if ll is None:
         raise StructuralZeroError("reference path hits a zero posterior; supply another admissible path")
@@ -399,14 +477,8 @@ def predict(params: ParameterSet, config: ModelConfig, history) -> Prediction:
     if hist.ndim > 1:
         states = local_decode(state_marginals(forward_joint_pass(hist, config)))
     else:
-        hist = hist.reshape(-1)
-        whole = np.isfinite(hist) & (np.floor(hist) == hist)
-        if not whole.all():
-            raise ValueError(f"state labels must be integers, got {hist[~whole][0]}")
-        states = hist.astype(np.int64)
+        states = _state_path(hist, config.k, "state labels")
     k, h = config.k, config.h
-    if states.size and (states.min() < 1 or states.max() > k):
-        raise ValueError(f"state labels must lie in 1..{k}")
     n = int(states.size)
     if n >= h:
         table = params.pi

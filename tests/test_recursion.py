@@ -24,7 +24,7 @@ from hmmsv import (
     windowed_full_conditional,
 )
 from hmmsv import recursion
-from hmmsv.recursion import _forward_joint_pass
+from hmmsv.recursion import _backward_pass, _forward_joint_pass, _prior_stack
 
 from conftest import batched_slices, random_instance, random_parameters
 
@@ -415,6 +415,169 @@ def test_peel_bound_error_names_its_start(rng):
 
 
 # ---------------------------------------------------------------------------
+# lean and careful peel routes
+
+
+def reference_slices(params, config, y, slices):
+    """Slices rebuilt one occasion at a time by the public reference route:
+    the windowed full conditional, peeled against the given later slices."""
+    T, h = y.size, config.h
+    out = np.empty_like(slices)
+    for t in range(1, T + 1):
+        jmax = min(T - t, h)
+        stage = windowed_full_conditional(params, config, y[t - 1], t, jmax)[0]
+        for j in range(jmax - 1, -1, -1):
+            stage = peel(stage, slices[t + j])
+        out[t - 1] = stage
+    return out
+
+
+def with_zeros(params):
+    """params with each row's smallest transition set to exactly 0."""
+
+    def table(rows):
+        rows = rows.copy()
+        rows[np.arange(len(rows)), rows.argmin(axis=1)] = 0.0
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    return ParameterSet(early=tuple(table(e) for e in params.early), pi=table(params.pi), sigma=params.sigma)
+
+
+def spy_lean_peel(monkeypatch):
+    """Record the verdict of every _lean_peel call: True when the block kept
+    the lean route's bits, False when it reran through _peel."""
+    verdicts = []
+    lean = recursion._lean_peel
+
+    def spy(*args):
+        verdicts.append(lean(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(recursion, "_lean_peel", spy)
+    return verdicts
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    h=st.integers(0, 3),
+    T=st.integers(1, 40),
+    zeros=st.lists(st.booleans(), min_size=1, max_size=3),
+    block=st.sampled_from([16, recursion._BLOCK]),
+)
+@settings(deadline=None, max_examples=40)
+def test_engine_equals_reference_route_property(seed, k, h, T, zeros, block):
+    # positive blocks take the lean route, blocks with a zero-mass start run
+    # through _peel; both keep the reference route's bits, alone and batched
+    rng = np.random.default_rng(seed)
+    config = ModelConfig(k=k, h=h)
+    group = [with_zeros(random_parameters(k, h, rng)) if z and k > 1 else random_parameters(k, h, rng) for z in zeros]
+    y = rng.normal(0.0, 2.0, size=T)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recursion, "_BLOCK", block)
+        slices = batched_slices(group, config, y)
+        alone = backward_pass(group[0], config, y)
+    assert np.array_equal(alone, slices[:, 0])
+    for i, params in enumerate(group):
+        assert np.array_equal(reference_slices(params, config, y, slices[:, i]), slices[:, i])
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_single_state_chains_peel_through_peel(h, monkeypatch):
+    # with k = 1 the intermediate outputs of an occasion outgrow the block
+    # row the lean route would keep them in, so every block runs _peel
+    monkeypatch.setattr(recursion, "_BLOCK", 16)
+    verdicts = spy_lean_peel(monkeypatch)
+    config = ModelConfig(k=1, h=h)
+    y = np.linspace(-2.0, 2.0, 40)
+    group = [single_state_params(h, sigma) for sigma in (0.5, 1.5, 3.0)]
+    slices = batched_slices(group, config, y)
+    assert verdicts == []
+    assert np.array_equal(slices, np.ones_like(slices))
+    for i, params in enumerate(group):
+        assert np.array_equal(reference_slices(params, config, y, slices[:, i]), slices[:, i])
+
+
+@pytest.mark.parametrize("h", [1, 2])
+def test_ratio_overflow_keeps_the_reference_bits(h, monkeypatch):
+    # at y = 38 the sigma = 1 emission is subnormal: the conditionals stay
+    # positive, but a peel ratio overflows and the reciprocal sum collapses
+    # that entry to an exact zero. At h = 1 the zero is a slice entry and the
+    # lean route keeps it; at h = 2 it is an intermediate output, which
+    # would send the next peel down _peel's zero-mass rule, so the block
+    # reruns through _peel
+    verdicts = spy_lean_peel(monkeypatch)
+    config = ModelConfig(k=2, h=h)
+    early = (np.array([[0.5, 0.5]]), np.array([[0.7, 0.3], [0.4, 0.6]]))[:h]
+    pi = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])[: 2**h]
+    params = ParameterSet(early=early, pi=pi, sigma=np.array([1.0, 10.0]))
+    y = np.array([0.3, -1.2, 0.8, 2.1, 38.0, -0.4, 1.5, -0.9, 0.2])
+    slices = backward_pass(params, config, y)
+    assert np.any(slices[4] == 0.0)
+    assert (False in verdicts) == (h == 2)
+    assert np.array_equal(reference_slices(params, config, y, slices), slices)
+    other = random_parameters(2, h, np.random.default_rng(h))
+    assert np.array_equal(batched_slices([other, params], config, y)[:, 1], slices)
+
+
+def test_wide_chains_sum_in_one_order():
+    # numpy's sum pairs its terms from k = 8 on; the lean route and _peel,
+    # and so public peel, add the terms of a reciprocal sum left to right
+    config, params, y = random_instance(9, k=9, h=1, T=8)
+    slices = backward_pass(params, config, y)
+    assert np.array_equal(reference_slices(params, config, y, slices), slices)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_slice_bound_error_after_a_positive_block(h, monkeypatch):
+    # a last observation 60 sigma out zeroes the final slice; the positive
+    # block before it peels against those zeros, its check fails, and the
+    # rerun through _peel raises for the start that broke the bound
+    verdicts = spy_lean_peel(monkeypatch)
+    config = ModelConfig(k=2, h=h)
+    rng = np.random.default_rng(h)
+    good = random_parameters(2, h, rng, sigma_range=(1.0, 30.0))
+    bad = random_parameters(2, h, rng, sigma_range=(1.0, 1.2))
+    y = rng.normal(0, 1, size=12)
+    y[-1] = 60.0
+    with pytest.raises(StructuralZeroError, match="outside") as info:
+        backward_pass(bad, config, y)
+    assert info.value.start == 0 and verdicts[-1] is False
+    with pytest.raises(StructuralZeroError, match="outside") as info:
+        batched_slices([good, bad, good], config, y)
+    assert info.value.start == 1 and verdicts[-1] is False
+    backward_pass(good, config, y)
+
+
+def test_intermediate_bound_error_names_its_start(monkeypatch):
+    # subnormal emissions at occasion 8 lose the precision the window
+    # identity needs: the first entry out of [0, 1] is an intermediate
+    # output of a peel in the interior block, whose slice entries stay in
+    # range. The block reruns through _peel, which raises for that start.
+    k, h, T = 2, 2, 9
+    params = ParameterSet(
+        early=(np.array([[0.5, 0.5]]), np.array([[0.7, 0.3], [0.4, 0.6]])),
+        pi=np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]]),
+        sigma=np.array([1.0, 2.0]),
+    )
+    F = np.ones((T, 1, k))
+    F[5, 0] = [1e-60, 1e-80]
+    F[7, 0] = [1e-318, 1e-318]
+    P = _prior_stack(params)[None]
+    verdicts = spy_lean_peel(monkeypatch)
+    sizes = []
+    careful = recursion._peel
+    monkeypatch.setattr(recursion, "_peel", lambda q, q_next, k: sizes.append(q.size) or careful(q, q_next, k))
+    for S, bad in ((1, 0), (2, 1)):
+        batch_F = np.concatenate([np.ones_like(F)] * (S - 1) + [F], axis=1)
+        with pytest.raises(StructuralZeroError, match="outside") as info:
+            _backward_pass(batch_F, np.concatenate([P] * S), k, h)
+        assert info.value.start == bad
+        # the failing peel took two future states to one
+        assert sizes[-1] == S * k ** (h + 3) and verdicts[-1] is False
+
+
+# ---------------------------------------------------------------------------
 # forward pass, marginals, decoding
 
 
@@ -567,6 +730,22 @@ def test_loglik_rejects_inadmissible_reference():
     # the default all-ones path is admissible here
     ll = log_likelihood(params, config, y, slices)
     assert math.isfinite(ll)
+
+
+def test_loglik_rejects_malformed_reference_paths():
+    # such paths used to be truncated to integers or flattened without a word
+    config, params, y = random_instance(3, k=2, h=1, T=6)
+    slices = backward_pass(params, config, y)
+    with pytest.raises(ValueError, match="reference states must be integers, got 1.5"):
+        log_likelihood(params, config, y, slices, reference=[1.5, 2.7, 1, 1, 2, 2])
+    with pytest.raises(ValueError, match="integers, got inf"):
+        log_likelihood(params, config, y, slices, reference=[1, np.inf, 1, 1, 2, 2])
+    with pytest.raises(ValueError, match=r"flat sequence of labels, got shape \(3, 2\)"):
+        log_likelihood(params, config, y, slices, reference=[[1, 2], [1, 1], [2, 2]])
+    with pytest.raises(ValueError, match="must lie in 1..2"):
+        log_likelihood(params, config, y, slices, reference=[1, 3, 1, 1, 2, 2])
+    whole = log_likelihood(params, config, y, slices, reference=[1.0, 2.0, 1.0, 1.0, 2.0, 2.0])
+    assert whole == log_likelihood(params, config, y, slices, reference=[1, 2, 1, 1, 2, 2])
 
 
 def test_loglik_default_falls_back_to_decoded_path():
