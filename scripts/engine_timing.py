@@ -5,7 +5,10 @@ For each grid point prints the median microseconds per occasion of the
 private batched passes, _backward_pass and _forward_joint_pass, at S = 1
 and S = 4 parameter sets sharing the series, plus oracle.bw_backward, the
 scaled forward-backward smoother, as the yardstick where it applies
-(h = 1). Emission rows and prior stacks are built outside the timed region.
+(h = 1). The build column times the backward pass's interior conditional
+build alone, block by block as the pass runs it, per interior occasion, so
+that the build and the peel loop (backward less build) show separately.
+Emission rows and prior stacks are built outside the timed region.
 
     python scripts/engine_timing.py [--repeats 5] [--scale 1.0]
 
@@ -19,7 +22,8 @@ import time
 import numpy as np
 
 from hmmsv import ModelConfig, ParameterSet, bw_backward, emission_matrix
-from hmmsv.recursion import _backward_pass, _forward_joint_pass, _prior_stack
+from hmmsv import recursion
+from hmmsv.recursion import _backward_pass, _block_priors, _conditionals, _forward_joint_pass, _numerator, _prior_stack
 
 GRID = ((2, 1, 10_000), (3, 1, 10_000), (3, 2, 10_000), (4, 2, 10_000), (3, 3, 5_000), (2, 4, 5_000))
 BATCHES = (1, 4)
@@ -29,6 +33,18 @@ def random_set(k: int, h: int, rng) -> ParameterSet:
     early = tuple(rng.dirichlet(np.ones(k), size=k**i) for i in range(h))
     pi = rng.dirichlet(np.ones(k), size=k**h)
     return ParameterSet(early=early, pi=pi, sigma=np.sort(rng.uniform(0.5, 3.0, size=k)))
+
+
+def interior_build(F, P, k: int, h: int) -> None:
+    """The conditionals of occasions h + 1, ..., T - h, built in blocks of
+    the backward pass's size into one reused array, as the pass builds them."""
+    T, S = F.shape[:2]
+    span = max(1, recursion._BLOCK // S)
+    priors = _block_priors(P, h + 1, h)
+    out = np.empty((min(span, T - 2 * h), S, k ** (2 * h + 1)))
+    for a in range(h + 1, T - h + 1, span):
+        n = min(span, T - h + 1 - a)
+        _conditionals(_numerator(F[a - 1 : a - 1 + n], priors, k, h, out[:n]), k, h)
 
 
 def median_us(fn, repeats: int, T: int) -> float:
@@ -45,7 +61,8 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--scale", type=float, default=1.0)
     args = parser.parse_args()
-    head = ["k", "h", "T"] + [f"{name} S={S}" for S in BATCHES for name in ("backward", "forward")] + ["bw_backward"]
+    names = ("build", "backward", "forward")
+    head = ["k", "h", "T"] + [f"{name} S={S}" for S in BATCHES for name in names] + ["bw_backward"]
     print(f"numpy {np.__version__}, median of {args.repeats}, us per occasion")
     print("  ".join(f"{c:>12s}" for c in head))
     for k, h, T in GRID:
@@ -58,6 +75,7 @@ def main() -> int:
             F = np.stack([emission_matrix(y, p.sigma) for p in group[:S]], axis=1)
             P = np.stack([_prior_stack(p) for p in group[:S]])
             Q = _backward_pass(F, P, k, h)
+            row.append(median_us(lambda: interior_build(F, P, k, h), args.repeats, T - 2 * h))
             row.append(median_us(lambda: _backward_pass(F, P, k, h), args.repeats, T))
             row.append(median_us(lambda: _forward_joint_pass(Q, k, h), args.repeats, T))
         if h == 1:

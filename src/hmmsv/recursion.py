@@ -23,6 +23,7 @@ the final occasion t = T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,10 +31,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import ModelConfig, ParameterSet, _check_compat, as_array, emission_matrix
 
 _ENTRY_TOL = 1e-10
-# interior occasions per conditional build: bounds the extra memory of the
-# backward pass at _BLOCK * k**(2h+1) floats; the lean peel keeps its
-# intermediate outputs in the block rows it consumed, so it adds only
-# per-pass ratio buffers of under two block rows
+# interior occasions per conditional build: the backward pass stages
+# _BLOCK * k**(2h+1) floats of conditionals, plus wavefront heads of under
+# 1 / (k - 1) of that and build transients of 1 / k of it; a grid-orders op,
+# whose k = 3, h = 3 cell stages 2,494 occasions, peaks at 83 MiB traced
 _BLOCK = 4096
 
 
@@ -59,27 +60,48 @@ def _prior_stack(params: ParameterSet) -> np.ndarray:
     return np.stack([np.tile(params.transition(t).reshape(-1), k ** (h + 1 - t)) for t in range(1, h + 2)])
 
 
-def _conditionals(F: np.ndarray, priors: np.ndarray, k: int, h: int):
-    """Full conditionals and numerators for a block of occasions t.
+def _numerator(F: np.ndarray, priors: np.ndarray, k: int, h: int, out: np.ndarray) -> np.ndarray:
+    """Window numerators of a block of occasions t, built in out.
 
     F holds the block's emission rows time first, like every batched array:
     (n, S, k) over S starts. priors[:, l] is each start's padded prior row of
     occasion t + l, shared by the whole block, so the window (u_{t-h}, ...,
-    u_{t+j}) has j = priors.shape[1] - 1 future states. Returns two
-    (n, S, k**(h+1+j)) arrays: q, normalized over u_t, and the numerator.
+    u_{t+j}) has j = priors.shape[1] - 1 future states. out is a
+    contiguous (n, S, k**(h+1+j)) array. Each level repeats the previous one
+    over the next future state, column by column, and multiplies in the next
+    transition factor in place; the last level is built in out itself, so
+    the build allocates nothing larger than out / k. Returns out.
     """
     n, S = F.shape[:2]
-    a = np.tile(F, (1, 1, k**h)) * priors[:, 0]
-    for l in range(1, priors.shape[1]):
-        a = np.repeat(a, k, axis=2) * np.tile(priors[:, l], k**l)
+    j = priors.shape[1] - 1
+    a = np.tile(F, (1, 1, k**h))
+    for l in range(j + 1):
+        if l:
+            # np.repeat(a, k, axis=2) written into the next level's array
+            wide = out if l == j else np.empty((n, S, k * a.shape[2]))
+            cols = wide.reshape(n, S, -1, k)
+            for c in range(k):
+                cols[..., c] = a
+            a = wide
+        np.multiply(a, np.tile(priors[:, l], k**l), out=out if l == j else a)
+    return out
+
+
+def _conditionals(a: np.ndarray, k: int, h: int) -> np.ndarray:
+    """Full conditionals from the (n, S, k**(h+1+j)) numerators a of
+    _numerator, normalized over u_t in place; returns a. A configuration
+    with no mass gets conditional probability zero.
+    """
+    n, S = a.shape[:2]
     a4 = a.reshape(n, S, k**h, k, -1)
     c = a4.sum(axis=3, keepdims=True)
     if c.min() > 0:
-        q = a4 / c
+        np.divide(a4, c, out=a4)
     else:
-        # configurations with no mass get conditional probability zero
-        q = np.divide(a4, c, out=np.zeros_like(a4), where=c > 0)
-    return q.reshape(n, S, -1), a
+        mass = c > 0
+        np.copyto(a4, 0.0, where=~mass)
+        np.divide(a4, c, out=a4, where=mass)
+    return a
 
 
 def _block_priors(P: np.ndarray, t: int, j: int) -> np.ndarray:
@@ -92,7 +114,9 @@ def _posterior_array(arr, config: ModelConfig, name: str, T: int | None = None) 
     """arr as a float array, or a ValueError unless its shape is (T, k**h, k);
     T defaults to len(arr)."""
     arr = np.asarray(arr, dtype=float)
-    want = (len(arr) if T is None and arr.ndim else T, config.k**config.h, config.k)
+    if arr.ndim == 0:
+        raise ValueError(f"{name} must be a (T, k**h, k) array, got a 0-d input")
+    want = (len(arr) if T is None else T, config.k**config.h, config.k)
     if arr.shape != want:
         raise ValueError(f"{name} must have shape (T, k**h, k) = {want}, got {arr.shape}")
     return arr
@@ -147,9 +171,9 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
     ratio = q_next / q_inner.reshape(S, -1, m)
     # zero-mass numerators contribute nothing; a positive numerator over a
     # zero denominator blows the sum up, collapsing the output to zero mass;
-    # on a positive window the ratio is 0.0 there already: _lean_peel's bits
+    # on a positive window the ratio is 0.0 there already: _wave_peel's bits
     cols = np.where(q_next == 0.0, 0.0, ratio).reshape(-1, k).T
-    # left to right for every k, as in _lean_peel; numpy's sum pairs from k = 8
+    # left to right for every k, as in _wave_peel; numpy's sum pairs from k = 8
     out = (1.0 / sum(cols[1:], cols[0])).reshape(S, -1)
     positive = q_inner.reshape(S, -1).min(axis=1) > 0.0
     over = positive & (out.max(axis=1) > 1.0 + _ENTRY_TOL)
@@ -163,49 +187,83 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
     return np.where(positive[:, None], out, clamped).reshape(-1)
 
 
-def _lean_peel(block: np.ndarray, Q: np.ndarray, a: int, j: int, ratios: list) -> bool:
-    """Peel a block of positive conditionals with bare ufunc calls.
+def _slot_offsets(S: int, m: int, k: int, j: int) -> list:
+    """Where each slot of a staging row starts, and the row width last.
 
-    block holds the flat conditionals, j future states wide, of occasions
-    a, ..., a + len(block) - 1 of the (T, S, k**h, k) slices Q, which it
-    fills. ratios[f - 1] is the pass's (S, k**f, k**(h+1)) ratio buffer of
-    the peel from f future states to f - 1. A peel is one divide into that
-    buffer, k - 1 adds of its columns, left to right as in _peel, and one
-    reciprocal, all in place. Each occasion's intermediate outputs go, level
-    after level, into its block row, already consumed, so one check per
-    block covers every level. Returns whether the block got _peel's bits:
-    every intermediate output positive, so _peel would take the same
-    formula at the next level, and every output at most 1 + _ENTRY_TOL, not
-    NaN, so no check of _peel would fire. If not, the caller rebuilds the
-    block and runs it through _peel.
+    Slot f of a row holds a level-f input of S starts, start outermost: S *
+    m * k**(f+1) entries, with m = k**h. Slot 0 is a slice.
     """
-    n = len(block)
+    return list(accumulate((S * m * k ** (f + 1) for f in range(j + 1)), initial=0))
+
+
+def _wave_peel(heads: np.ndarray, conds: np.ndarray, Q: np.ndarray, a: int, j: int, ratio: np.ndarray) -> bool:
+    """Peel a block of positive conditionals as a wavefront across levels.
+
+    The block's occasions are a, ..., t, with n = t - a + 1, and j future
+    states each. Row r stands for step d = a + r, r = 0, ..., n + j - 1, of
+    the pass over the (T, S, k**h, k) slices Q, and is slot-major: [slice
+    of d | level-1 input of d - 1 | ... | level-j input of d - j], laid out
+    by _slot_offsets. heads holds slots 0..j-1 of every row; conds holds the
+    last slot, the block's conditionals, in rows j, ..., n + j - 1, apart so
+    that they build contiguously.
+
+    The step whose divisor is the slice of d runs level f of occasion d - f
+    for every f whose occasion lies in the block: one divide per level into
+    ratio, laid out like slots 1..j, then k - 1 adds of its columns, left to
+    right as in _peel, and one reciprocal, each one call over all those
+    levels at once. The output is the head of row r - 1, which is the next
+    step's input. The first j steps fill the wavefront: their divisors are
+    the slices of earlier blocks, copied from Q into their rows. The last
+    j - 1 steps drain it.
+
+    One check after the block covers every level. Returns whether the block
+    got _peel's bits: every intermediate output positive, so _peel would
+    take the same formula at the next level, and every output at most 1 +
+    _ENTRY_TOL, not NaN, so no check of _peel would fire. Then Q gets the
+    block's slices. If not, Q is left alone and the caller runs the block
+    through _peel from conds, which no step writes.
+    """
     T, S, m, k = Q.shape
-    levels, src, used = [], block, 0
-    for f in range(j, 0, -1):
-        ratio = ratios[f - 1]
-        size = ratio.size // k
-        if f > 1:
-            dst = block[:, used : used + size]
-            used += size
-        else:
-            dst = Q.reshape(T, -1)[a - 1 : a - 1 + n]
-        divisors = Q[a + f - 1 : a + f - 1 + n].reshape(n, S, 1, m * k)
-        cols = list(ratio.reshape(-1, k).T)
-        levels.append((divisors, src.reshape((n,) + ratio.shape), dst, ratio, cols[0], cols[1], cols[2:]))
-        src = dst
-    # occasions run backwards: the divisors of one are the slices of later ones
-    for i in range(n - 1, -1, -1):
-        for divisors, inner, dst, ratio, first, second, rest in levels:
-            out = dst[i]
-            np.divide(divisors[i], inner[i], out=ratio)
+    n = len(heads) - j
+    t = a + n - 1
+    off = _slot_offsets(S, m, k, j)
+    heads[n:, : off[1]] = Q[t : t + j].reshape(j, -1)
+    divisors = heads[:, : off[1]].reshape(-1, S, 1, m * k)
+    inputs = [(heads[:, off[f] : off[f + 1]] if f < j else conds).reshape(-1, S, k**f, m * k) for f in range(1, j + 1)]
+    ratios = [ratio[off[f] - off[1] : off[f + 1] - off[1]].reshape(S, k**f, m * k) for f in range(1, j + 1)]
+
+    def sweep(rows, lo: int, hi: int) -> None:
+        # the steps of rows, each running levels lo..hi
+        levels = list(zip(inputs[lo - 1 : hi], ratios[lo - 1 : hi]))
+        first, second, *rest = ratio[off[lo] - off[1] : off[hi + 1] - off[1]].reshape(-1, k).T
+        outs = heads[:, off[lo - 1] : off[hi]]
+        for r in rows:
+            divisor = divisors[r]
+            for inner, rat in levels:
+                np.divide(divisor, inner[r], out=rat)
+            out = outs[r - 1]
             np.add(first, second, out=out)
             for col in rest:
                 np.add(out, col, out=out)
-            np.divide(1.0, out, out=out)
+            np.reciprocal(out, out=out)
+
+    # row r runs level f of occasion a + r - f for every f whose occasion
+    # lies in the block: the fill steps, the full steps, the drain steps
+    for r in range(n + j - 1, n, -1):
+        sweep([r], r - n + 1, min(j, r))
+    sweep(range(n, j - 1, -1), 1, j)
+    for r in range(min(j - 1, n), 0, -1):
+        sweep([r], 1, r)
     bound = 1.0 + _ENTRY_TOL
-    inter = block[:, :used]
-    return bool(src.max() <= bound) and (not used or bool(inter.min() > 0.0 and inter.max() <= bound))
+    slices = heads[:n, : off[1]]
+    if not slices.max() <= bound:
+        return False
+    for g in range(1, j):
+        inter = heads[g : n + g, off[g] : off[g + 1]]
+        if not (inter.min() > 0.0 and inter.max() <= bound):
+            return False
+    Q[a - 1 : t] = slices.reshape(n, S, m, k)
+    return True
 
 
 def windowed_full_conditional(
@@ -228,9 +286,9 @@ def windowed_full_conditional(
         raise ValueError(f"observation must be finite, got {y_t!r}")
     k, h = config.k, config.h
     F = emission_matrix([y_t], params.sigma)[None]
-    q, a = _conditionals(F, _block_priors(_prior_stack(params)[None], t, j), k, h)
+    a = _numerator(F, _block_priors(_prior_stack(params)[None], t, j), k, h, np.empty((1, 1, k ** (h + 1 + j))))
     shape = (k**h, k) + (k,) * j
-    return q.reshape(shape), a.reshape(shape)
+    return _conditionals(a.copy(), k, h).reshape(shape), a.reshape(shape)
 
 
 def peel(q_inner: np.ndarray, q_next: np.ndarray) -> np.ndarray:
@@ -262,39 +320,48 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
     backward_pass. Time first, each occasion is one index away and its rows
     of every start lie flat, side by side.
 
-    A block whose conditionals are all positive runs _lean_peel; a block
-    with a zero, or one that fails _lean_peel's check, runs through _peel
-    one peel at a time, which raises or clamps. So does k = 1, whose
-    intermediate outputs would not fit in the consumed rows.
+    Each block with future states builds its conditionals straight into
+    the last slot of staging rows allocated once per pass, in two buffers
+    (see _wave_peel); the final occasion, and every occasion when h = 0,
+    builds straight into Q. A block whose conditionals are
+    all positive runs _wave_peel; a block with a zero, or one that fails
+    _wave_peel's check, runs through _peel one peel at a time, occasion
+    after occasion, from those same staged conditionals, which raises or
+    clamps. So does k = 1, which has no column to add.
     """
     T, S = F.shape[:2]
     Q = np.empty((T, S, k**h, k))
     flat = Q.reshape(T, -1)
     divisors = Q.reshape(T, S, 1, -1)
-    ratios = [np.empty((S, k**f, k ** (h + 1))) for f in range(1, h + 1)]
     lo, hi = h + 1, T - h
-    # the block's extra memory stays at _BLOCK * k**(2h+1) floats whatever S is
+    # the staged conditionals stay at _BLOCK * k**(2h+1) floats whatever S is
     span = max(1, _BLOCK // S)
+    # staging for the widest block, every block's rows are views into it
+    rows = min(span, max(1, hi - lo + 1)) + h
+    widths = _slot_offsets(S, k**h, k, h)
+    head_buffer, cond_buffer = np.empty(rows * widths[h]), np.empty(rows * (widths[-1] - widths[h]))
+    ratio = np.empty(widths[-1] - widths[1])
     t = T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while t >= 1:
             a = max(lo, t - span + 1) if lo <= t <= hi else t
-            j = min(T - t, h)
+            n, j = t - a + 1, min(T - t, h)
             priors = _block_priors(P, a, j)
-            block = _conditionals(F[a - 1 : t], priors, k, h)[0].reshape(t - a + 1, -1)
-            lean = k > 1 and block.min() > 0.0
             if j == 0:
                 # nothing to peel: the conditionals are the slices
-                flat[a - 1 : t] = block
-            elif not (lean and _lean_peel(block, Q, a, j, ratios)):
-                if lean:
-                    # _lean_peel wrote over the rows: rebuild them for _peel
-                    block = _conditionals(F[a - 1 : t], priors, k, h)[0].reshape(t - a + 1, -1)
-                for s in range(t, a - 1, -1):
-                    vals = block[s - a]
-                    for jj in range(j - 1, -1, -1):
-                        vals = _peel(vals, divisors[s + jj], k)
-                    flat[s - 1] = vals
+                _conditionals(_numerator(F[a - 1 : t], priors, k, h, flat[a - 1 : t].reshape(n, S, -1)), k, h)
+            else:
+                off = _slot_offsets(S, k**h, k, j)
+                heads = head_buffer[: (n + j) * off[j]].reshape(n + j, -1)
+                conds = cond_buffer[: (n + j) * (off[-1] - off[j])].reshape(n + j, -1)
+                block = conds[j:]
+                _conditionals(_numerator(F[a - 1 : t], priors, k, h, block.reshape(n, S, -1)), k, h)
+                if not (k > 1 and block.min() > 0.0 and _wave_peel(heads, conds, Q, a, j, ratio)):
+                    for s in range(t, a - 1, -1):
+                        vals = block[s - a]
+                        for f in range(j, 0, -1):
+                            vals = _peel(vals, divisors[s + f - 1], k)
+                        flat[s - 1] = vals
             t = a - 1
     return Q
 
@@ -366,13 +433,16 @@ def check_posteriors(slices, joints=None, atol: float = _ENTRY_TOL) -> None:
 
     Every entry must lie in [0, 1], every conditional row of the slices must
     sum to one over u_t, and the joint of every occasion must sum to one. The
-    message names the first offending occasion.
+    message names the first offending occasion; an array without occasions
+    is an error too.
     """
     checks = [("slice", np.asarray(slices), 2)]
     if joints is not None:
         checks.append(("joint", np.asarray(joints), (1, 2)))
     for name, arr, axes in checks:
-        T = arr.shape[0]
+        T = arr.shape[0] if arr.ndim else 0
+        if T == 0:
+            raise ValueError(f"{name} array has no occasions: shape {arr.shape}")
         outside = ((arr < -atol) | (arr > 1.0 + atol)).reshape(T, -1).any(axis=1)
         drift = (np.abs(arr.sum(axis=axes) - 1.0) > atol).reshape(T, -1).any(axis=1)
         for hit, what in ((outside, "has entries outside [0, 1]"), (drift, "does not sum to one")):

@@ -166,6 +166,34 @@ def test_windowed_second_order_matches_enumeration(rng):
     assert exact.loglik < 0 or True  # enumeration object exercised above
 
 
+@pytest.mark.parametrize("t", [2, 4])
+def test_windowed_numerator_matches_enumerated_products(t, rng):
+    # the numerator is built in place, level by level; each entry must still
+    # be the emission at t times the transition factors of the window
+    # occasions t, t + 1 and t + 2, here at (k, h, j) = (3, 2, 2). At t = 2
+    # the leading lag precedes the series and the entry repeats over it.
+    k, h, j = 3, 2, 2
+    config = ModelConfig(k=k, h=h)
+    params = random_parameters(k, h, rng)
+    y_t = 0.7
+    q, num = windowed_full_conditional(params, config, y_t, t, j)
+    times = range(t - h, t + j + 1)
+    expected = np.empty(k ** len(times))
+    for flat, digits in enumerate(np.ndindex(*(k,) * len(times))):
+        state = dict(zip(times, digits))
+        value = npdf(y_t, params.sigma[state[t]])
+        for tt in range(t, t + j + 1):
+            row = 0
+            for back in range(min(tt - 1, h), 0, -1):
+                row = row * k + state[tt - back]
+            value *= params.transition(tt)[row, state[tt]]
+        expected[flat] = value
+    assert np.all(np.abs(num.reshape(-1) - expected) <= 1e-14 * np.abs(expected))
+    norm = num.sum(axis=1, keepdims=True)
+    assert np.all(np.abs(norm - 1.0) > 1e-3)
+    assert np.allclose(q, num / norm, rtol=1e-14, atol=0.0)
+
+
 def test_windowed_rejects_bad_arguments(rng):
     config = ModelConfig(k=2, h=1)
     params = random_parameters(2, 1, rng)
@@ -415,7 +443,7 @@ def test_peel_bound_error_names_its_start(rng):
 
 
 # ---------------------------------------------------------------------------
-# lean and careful peel routes
+# wavefront and careful peel routes
 
 
 def reference_slices(params, config, y, slices):
@@ -443,17 +471,17 @@ def with_zeros(params):
     return ParameterSet(early=tuple(table(e) for e in params.early), pi=table(params.pi), sigma=params.sigma)
 
 
-def spy_lean_peel(monkeypatch):
-    """Record the verdict of every _lean_peel call: True when the block kept
-    the lean route's bits, False when it reran through _peel."""
+def spy_wave_peel(monkeypatch):
+    """Record the verdict of every _wave_peel call: True when the block kept
+    the wavefront's bits, False when it reran through _peel."""
     verdicts = []
-    lean = recursion._lean_peel
+    wave = recursion._wave_peel
 
     def spy(*args):
-        verdicts.append(lean(*args))
+        verdicts.append(wave(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(recursion, "_lean_peel", spy)
+    monkeypatch.setattr(recursion, "_wave_peel", spy)
     return verdicts
 
 
@@ -467,7 +495,7 @@ def spy_lean_peel(monkeypatch):
 )
 @settings(deadline=None, max_examples=40)
 def test_engine_equals_reference_route_property(seed, k, h, T, zeros, block):
-    # positive blocks take the lean route, blocks with a zero-mass start run
+    # positive blocks take the wavefront, blocks with a zero-mass start run
     # through _peel; both keep the reference route's bits, alone and batched
     rng = np.random.default_rng(seed)
     config = ModelConfig(k=k, h=h)
@@ -484,10 +512,9 @@ def test_engine_equals_reference_route_property(seed, k, h, T, zeros, block):
 
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_single_state_chains_peel_through_peel(h, monkeypatch):
-    # with k = 1 the intermediate outputs of an occasion outgrow the block
-    # row the lean route would keep them in, so every block runs _peel
+    # with k = 1 a peel has no column to add, so every block runs _peel
     monkeypatch.setattr(recursion, "_BLOCK", 16)
-    verdicts = spy_lean_peel(monkeypatch)
+    verdicts = spy_wave_peel(monkeypatch)
     config = ModelConfig(k=1, h=h)
     y = np.linspace(-2.0, 2.0, 40)
     group = [single_state_params(h, sigma) for sigma in (0.5, 1.5, 3.0)]
@@ -503,10 +530,10 @@ def test_ratio_overflow_keeps_the_reference_bits(h, monkeypatch):
     # at y = 38 the sigma = 1 emission is subnormal: the conditionals stay
     # positive, but a peel ratio overflows and the reciprocal sum collapses
     # that entry to an exact zero. At h = 1 the zero is a slice entry and the
-    # lean route keeps it; at h = 2 it is an intermediate output, which
+    # wavefront keeps it; at h = 2 it is an intermediate output, which
     # would send the next peel down _peel's zero-mass rule, so the block
     # reruns through _peel
-    verdicts = spy_lean_peel(monkeypatch)
+    verdicts = spy_wave_peel(monkeypatch)
     config = ModelConfig(k=2, h=h)
     early = (np.array([[0.5, 0.5]]), np.array([[0.7, 0.3], [0.4, 0.6]]))[:h]
     pi = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])[: 2**h]
@@ -521,7 +548,7 @@ def test_ratio_overflow_keeps_the_reference_bits(h, monkeypatch):
 
 
 def test_wide_chains_sum_in_one_order():
-    # numpy's sum pairs its terms from k = 8 on; the lean route and _peel,
+    # numpy's sum pairs its terms from k = 8 on; the wavefront and _peel,
     # and so public peel, add the terms of a reciprocal sum left to right
     config, params, y = random_instance(9, k=9, h=1, T=8)
     slices = backward_pass(params, config, y)
@@ -533,7 +560,7 @@ def test_slice_bound_error_after_a_positive_block(h, monkeypatch):
     # a last observation 60 sigma out zeroes the final slice; the positive
     # block before it peels against those zeros, its check fails, and the
     # rerun through _peel raises for the start that broke the bound
-    verdicts = spy_lean_peel(monkeypatch)
+    verdicts = spy_wave_peel(monkeypatch)
     config = ModelConfig(k=2, h=h)
     rng = np.random.default_rng(h)
     good = random_parameters(2, h, rng, sigma_range=(1.0, 30.0))
@@ -549,11 +576,13 @@ def test_slice_bound_error_after_a_positive_block(h, monkeypatch):
     backward_pass(good, config, y)
 
 
-def test_intermediate_bound_error_names_its_start(monkeypatch):
-    # subnormal emissions at occasion 8 lose the precision the window
-    # identity needs: the first entry out of [0, 1] is an intermediate
-    # output of a peel in the interior block, whose slice entries stay in
-    # range. The block reruns through _peel, which raises for that start.
+def assert_intermediate_bound_error(monkeypatch, span=None):
+    """Subnormal emissions at occasion 8 of a k = 2, h = 2, T = 9 chain lose
+    the precision the window identity needs: the first entry out of [0, 1]
+    is an intermediate output, of the level-2 peel of occasion 6, whose
+    slice entries stay in range. The block reruns through _peel, which
+    raises for the start that holds those emissions, alone and in a batch.
+    span, if given, sets the interior occasions per block."""
     k, h, T = 2, 2, 9
     params = ParameterSet(
         early=(np.array([[0.5, 0.5]]), np.array([[0.7, 0.3], [0.4, 0.6]])),
@@ -564,17 +593,59 @@ def test_intermediate_bound_error_names_its_start(monkeypatch):
     F[5, 0] = [1e-60, 1e-80]
     F[7, 0] = [1e-318, 1e-318]
     P = _prior_stack(params)[None]
-    verdicts = spy_lean_peel(monkeypatch)
+    verdicts = spy_wave_peel(monkeypatch)
     sizes = []
     careful = recursion._peel
     monkeypatch.setattr(recursion, "_peel", lambda q, q_next, k: sizes.append(q.size) or careful(q, q_next, k))
-    for S, bad in ((1, 0), (2, 1)):
-        batch_F = np.concatenate([np.ones_like(F)] * (S - 1) + [F], axis=1)
+    for S, bad in ((1, 0), (2, 1), (3, 1)):
+        if span is not None:
+            monkeypatch.setattr(recursion, "_BLOCK", span * S)
+        batch_F = np.concatenate([np.ones_like(F)] * bad + [F] + [np.ones_like(F)] * (S - 1 - bad), axis=1)
         with pytest.raises(StructuralZeroError, match="outside") as info:
             _backward_pass(batch_F, np.concatenate([P] * S), k, h)
         assert info.value.start == bad
         # the failing peel took two future states to one
         assert sizes[-1] == S * k ** (h + 3) and verdicts[-1] is False
+
+
+def test_intermediate_bound_error_names_its_start(monkeypatch):
+    assert_intermediate_bound_error(monkeypatch)
+
+
+@pytest.mark.parametrize("span", [1, 2, 3])
+def test_intermediate_bound_error_across_blocks(span, monkeypatch):
+    # blocks of one to three interior occasions: the failing occasion's two
+    # levels divide by slices from one or two earlier blocks, in fill steps,
+    # or by a slice the block's own wavefront made
+    assert_intermediate_bound_error(monkeypatch, span)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("extra", [0, 1, 2, 7])
+@pytest.mark.parametrize("block", [3, 6, 16])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_wavefront_edges_keep_the_reference_bits(k, h, extra, block, zeros, monkeypatch):
+    # T = 2h + extra leaves `extra` interior occasions. A batch of three
+    # gets blocks of block // 3 = 1, 2 or 5 interior occasions: the short
+    # ones are shorter than the wavefront's depth h, so fill and drain steps
+    # overlap, and with seven interior occasions the fill steps of a block
+    # divide by slices of the blocks before it. A batch with a zero-mass
+    # start runs every block through _peel.
+    verdicts = spy_wave_peel(monkeypatch)
+    monkeypatch.setattr(recursion, "_BLOCK", block)
+    T = 2 * h + extra
+    rng = np.random.default_rng([k, h, extra, block])
+    config = ModelConfig(k=k, h=h)
+    group = [random_parameters(k, h, rng) for _ in range(3)]
+    if zeros:
+        group[1] = with_zeros(group[1])
+    y = rng.normal(0.0, 2.0, size=T)
+    slices = batched_slices(group, config, y)
+    assert (True in verdicts) == (not zeros)
+    for i, params in enumerate(group):
+        assert np.array_equal(backward_pass(params, config, y), slices[:, i])
+        assert np.array_equal(reference_slices(params, config, y, slices[:, i]), slices[:, i])
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +850,22 @@ def test_posterior_arrays_are_checked_by_shape():
             call()
     with pytest.raises(ValueError, match=r"= \(50, 2, 2\), got \(50, 4\)"):
         predict(params, config, np.full((50, 4), 0.5))
+
+
+def test_posterior_arrays_without_occasions_name_the_cause():
+    config, params, y = random_instance(3, k=2, h=1, T=5)
+    slices = backward_pass(params, config, y)
+    zero_d = r"slices must be a \(T, k\*\*h, k\) array, got a 0-d input"
+    with pytest.raises(ValueError, match=zero_d):
+        forward_joint_pass(np.float64(0.3), config)
+    with pytest.raises(ValueError, match=zero_d):
+        log_likelihood(params, config, y, np.float64(0.3))
+    with pytest.raises(ValueError, match=r"slice array has no occasions: shape \(0, 2, 2\)"):
+        check_posteriors(np.zeros((0, 2, 2)))
+    with pytest.raises(ValueError, match=r"slice array has no occasions: shape \(\)"):
+        check_posteriors(np.float64(0.3))
+    with pytest.raises(ValueError, match=r"joint array has no occasions"):
+        check_posteriors(slices, np.zeros((0, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
