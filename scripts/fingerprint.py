@@ -12,15 +12,25 @@ zero-mass peel path runs too) and prints one digest for each family:
   log-likelihoods, or the failing start
 - fit: fit with three starts and 25 iterations: parameters, trace,
   converged flag, winning start and log-likelihood
+- cli: a fixed command-line session through hmmsv.cli.main (every command,
+  JSON and CSV, and one failing command): each command's arguments, exit
+  code, stdout and stderr, then every file the session wrote
 
 Errors enter a digest by type and message. Equal digests from two commits
 mean equal bits on these instances, on the same numpy build and machine.
+The cli session runs in a temporary working directory with relative file
+names, so no temporary path reaches its output.
 
     python scripts/fingerprint.py [--draws 40]
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -37,8 +47,32 @@ from hmmsv import (
     forward_joint_pass,
     log_likelihood,
 )
+from hmmsv.cli import main as cli_main
 
-FAMILIES = ("slices", "joints", "loglik", "e_step", "fit")
+FAMILIES = ("slices", "joints", "loglik", "e_step", "fit", "cli")
+
+EM = ["--starts", "2", "--seed", "4", "--max-iter", "30"]
+CLI_SESSION = [
+    ["simulate", "--params", "truth2.json", "--length", "300", "--seed", "1", "--out", "sim2.csv"],
+    ["simulate", "--params", "truth3.json", "--length", "200", "--seed", "2", "--out", "sim3.csv"],
+    ["simulate", "--params", "truth2.json", "--length", "5", "--seed", "3", "--format", "json"],
+    ["fit", "--input", "sim2.csv", "--column", "y", "--k", "2", "--h", "1", *EM, "--out", "fit21.json"],
+    ["fit", "--input", "sim2.csv", "--column", "y", "--k", "2", "--h", "1", *EM, "--format", "csv"],
+    ["fit", "--input", "sim2.csv", "--column", "2", "--k", "1", "--h", "0", *EM, "--out", "fit10.json"],
+    ["fit", "--input", "sim2.csv", "--column", "2", "--k", "1", "--h", "0", *EM, "--format", "csv"],
+    ["fit", "--input", "sim3.csv", "--column", "y", "--k", "3", "--h", "2", *EM, "--format", "csv"],
+    ["grid", "--input", "sim2.csv", "--column", "y", "--h-list", "0", "1", "--k-list", "1", "2", *EM],
+    ["grid", "--input", "sim2.csv", "--column", "y", "--h-list", "0", "1", "--k-list", "1", "2", *EM,
+     "--format", "csv", "--out", "grid.csv"],
+    ["decode", "--params", "fit21.json", "--input", "sim2.csv", "--column", "y"],
+    ["decode", "--params", "fit21.json", "--input", "sim2.csv", "--column", "y", "--format", "csv"],
+    ["decode", "--params", "truth3.json", "--input", "prices.csv", "--column", "close", "--prices",
+     "--format", "csv", "--out", "dec3.csv"],
+    ["predict", "--params", "fit21.json", "--input", "sim2.csv", "--column", "y"],
+    ["predict", "--params", "fit21.json", "--input", "sim2.csv", "--column", "y", "--format", "csv"],
+    ["predict", "--params", "fit10.json", "--input", "sim2.csv", "--column", "y", "--format", "csv"],
+    ["decode", "--params", "missing.json", "--input", "sim2.csv", "--column", "y"],
+]
 
 
 def random_set(k: int, h: int, rng, zeros: bool) -> ParameterSet:
@@ -75,6 +109,34 @@ def attempt(fn):
         return exc
 
 
+def cli_session(digest) -> None:
+    """Run CLI_SESSION in a temporary working directory and feed its bytes to digest."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for name, (k, h, seed) in {"truth2.json": (2, 1, 7), "truth3.json": (3, 2, 8)}.items():
+                p = random_set(k, h, np.random.default_rng([seed, 2718]), zeros=False)
+                tables = {"sigma": p.sigma.tolist(), "early": [t.tolist() for t in p.early], "pi": p.pi.tolist()}
+                with open(name, "w") as fh:
+                    json.dump({"k": k, "h": h, **tables}, fh)
+            y = np.random.default_rng([9, 2718]).normal(0.0, 1.5, size=150)
+            prices = 100.0 * np.exp(np.cumsum(np.concatenate([[0.0], y / 100.0])))
+            with open("prices.csv", "w") as fh:
+                fh.write("day,close\n" + "".join(f"{d},{v:.10g}\n" for d, v in enumerate(prices)))
+            for argv in CLI_SESSION:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    status = cli_main(argv)
+                for text in (" ".join(argv), str(status), out.getvalue(), err.getvalue()):
+                    digest.update(text.encode() + b"\0")
+            for name in sorted(os.listdir(work)):
+                with open(name, "rb") as fh:
+                    digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+        finally:
+            os.chdir(home)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--draws", type=int, default=40)
@@ -98,6 +160,7 @@ def main() -> int:
             p = res.params
             res = (p.sigma, p.pi, *p.early, res.trace, float(res.converged), float(res.start_index), res.loglik)
         feed(digests["fit"], res)
+    cli_session(digests["cli"])
     print(f"numpy {np.__version__}, {args.draws} draws")
     for name in FAMILIES:
         print(f"{name:7s} {digests[name].hexdigest()}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -27,7 +26,7 @@ from .core import (
     simulate,
     validate,
 )
-from .estimator import EMSettings, EstimationError, FitResult, GridSearchResult, fit, grid_search
+from .estimator import EMSettings, EstimationError, GridSearchResult, fit, grid_search
 from .recursion import backward_pass, forward_joint_pass, local_decode, predict, state_marginals
 
 
@@ -201,40 +200,24 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _table_csv(header: list[str], columns: list, fmt: str) -> str:
+    """The only CSV writer: the header line, then fmt % row for each row.
 
-
-def _fmt_cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.10g}"
-    return str(x)
-
-
-def _table_csv(header: list[str], columns: list, n_int: int) -> str:
-    """CSV of equal-length numeric columns, the first n_int of them integers.
-
-    One %-format per row writes what csv.writer writes with _fmt_cell cells:
-    floats as "%.10g", and no field that needs quoting.
+    fmt ends in a newline. A text cell that holds a comma arrives quoted (see
+    _cell), so the output is what csv's minimal quoting would write.
     """
-    fmt = ",".join(["%d"] * n_int + ["%.10g"] * (len(columns) - n_int)) + "\n"
     return ",".join(header) + "\n" + "".join([fmt % row for row in zip(*columns)])
 
 
-def _kv_rows(payload: dict) -> list[list]:
-    rows = [["key", "value"]]
-    for key, val in payload.items():
-        if isinstance(val, np.ndarray):
-            val = val.tolist()
-        if isinstance(val, (list, tuple)):
-            rows.append([key, json.dumps(_jsonable(list(val)))])
-        else:
-            rows.append([key, _fmt_cell(val)])
-    return rows
+def _cell(value) -> str:
+    """One key,value CSV cell: lists as JSON (quoted when they hold a comma),
+    floats to 10 significant digits, anything else through str."""
+    if isinstance(value, (list, np.ndarray)):
+        text = json.dumps(_jsonable(value))
+        return f'"{text}"' if "," in text else text
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.10g}"
+    return str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +232,7 @@ def _settings(args: argparse.Namespace) -> EMSettings:
     )
 
 
-def _fit_payload(config: ModelConfig, result: FitResult, T: int) -> dict:
-    payload = params_payload(config, result.params)
-    payload.update(
-        {
-            "loglik": result.loglik,
-            "npar": result.npar,
-            "bic": result.bic,
-            "trace": result.trace,
-            "converged": result.converged,
-            "start_index": result.start_index,
-            "T": T,
-        }
-    )
-    return payload
-
-
-def _do_fit(args: argparse.Namespace) -> str:
+def _do_fit(args: argparse.Namespace) -> tuple[dict, tuple]:
     series = ingest(args.input, args.column, args.prices)
     config = ModelConfig(k=args.k, h=args.h)
     result = fit(config, series, _settings(args))
@@ -274,10 +241,17 @@ def _do_fit(args: argparse.Namespace) -> str:
         f"bic={result.bic:.6g} iterations={result.trace.size} converged={result.converged}",
         file=sys.stderr,
     )
-    payload = _fit_payload(config, result, len(series))
-    if args.fmt == "json":
-        return _json_text(payload)
-    return _csv_text(_kv_rows(payload))
+    payload = {
+        **params_payload(config, result.params),
+        "loglik": result.loglik,
+        "npar": result.npar,
+        "bic": result.bic,
+        "trace": result.trace,
+        "converged": result.converged,
+        "start_index": result.start_index,
+        "T": len(series),
+    }
+    return payload, (["key", "value"], [list(payload), map(_cell, payload.values())], "%s,%s\n")
 
 
 def _grid_table(res: GridSearchResult, hs, ks) -> str:
@@ -301,54 +275,29 @@ def _grid_table(res: GridSearchResult, hs, ks) -> str:
     return "\n".join(lines)
 
 
-def _do_grid(args: argparse.Namespace) -> str:
+def _do_grid(args: argparse.Namespace) -> tuple[dict, tuple]:
     series = ingest(args.input, args.column, args.prices)
     res = grid_search(series, args.h_list, args.k_list, _settings(args))
     hs = sorted(set(args.h_list))
     ks = sorted(set(args.k_list))
     print(_grid_table(res, hs, ks), file=sys.stderr)
-    cells = []
+    names = ["h", "k", "loglik", "npar", "bic", "converged"]
+    rows = []
     for h in hs:
         for k in ks:
             cell = res.results.get((h, k))
-            if cell is None:
-                continue
-            cells.append(
-                {
-                    "h": h,
-                    "k": k,
-                    "loglik": cell.loglik,
-                    "npar": cell.npar,
-                    "bic": cell.bic,
-                    "converged": cell.converged,
-                }
-            )
-    if args.fmt == "json":
-        payload = {
-            "cells": cells,
-            "selected": {"h": res.selected[0], "k": res.selected[1]},
-            "errors": [
-                {"h": h, "k": k, "error": msg} for (h, k), msg in sorted(res.errors.items())
-            ],
-        }
-        return _json_text(payload)
-    rows = [["h", "k", "loglik", "npar", "bic", "converged", "selected"]]
-    for cell in cells:
-        rows.append(
-            [
-                cell["h"],
-                cell["k"],
-                _fmt_cell(cell["loglik"]),
-                cell["npar"],
-                _fmt_cell(cell["bic"]),
-                cell["converged"],
-                int((cell["h"], cell["k"]) == res.selected),
-            ]
-        )
-    return _csv_text(rows)
+            if cell is not None:
+                rows.append((h, k, cell.loglik, cell.npar, cell.bic, cell.converged))
+    payload = {
+        "cells": [dict(zip(names, row)) for row in rows],
+        "selected": {"h": res.selected[0], "k": res.selected[1]},
+        "errors": [{"h": h, "k": k, "error": msg} for (h, k), msg in sorted(res.errors.items())],
+    }
+    selected = [int(row[:2] == res.selected) for row in rows]
+    return payload, (names + ["selected"], [*zip(*rows), selected], "%d,%d,%.10g,%d,%.10g,%s,%d\n")
 
 
-def _do_decode(args: argparse.Namespace) -> str:
+def _do_decode(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     series = ingest(args.input, args.column, args.prices)
     slices = backward_pass(params, config, series)
@@ -359,13 +308,13 @@ def _do_decode(args: argparse.Namespace) -> str:
         + ",".join(str(s) for s in sorted(set(states.tolist()))),
         file=sys.stderr,
     )
-    if args.fmt == "json":
-        return _json_text({"states": states, "marginals": marginals})
     header = ["t", "state"] + [f"q{v}" for v in range(1, config.k + 1)]
-    return _table_csv(header, [range(1, len(series) + 1), states.tolist(), *marginals.T.tolist()], 2)
+    columns = [range(1, len(series) + 1), states.tolist(), *marginals.T.tolist()]
+    fmt = "%d,%d" + ",%.10g" * config.k + "\n"
+    return {"states": states, "marginals": marginals}, (header, columns, fmt)
 
 
-def _do_predict(args: argparse.Namespace) -> str:
+def _do_predict(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     series = ingest(args.input, args.column, args.prices)
     slices = backward_pass(params, config, series)
@@ -375,20 +324,19 @@ def _do_predict(args: argparse.Namespace) -> str:
         file=sys.stderr,
     )
     payload = {"next_state": pred.next_state, "weights": pred.weights, "sigma": pred.sigma}
-    if args.fmt == "json":
-        return _json_text(payload)
-    return _csv_text(_kv_rows(payload))
+    return payload, (["key", "value"], [list(payload), map(_cell, payload.values())], "%s,%s\n")
 
 
-def _do_simulate(args: argparse.Namespace) -> str:
+def _do_simulate(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     states, series = simulate(config, params, args.length, args.seed)
     print(f"simulate: T={args.length} seed={args.seed}", file=sys.stderr)
-    if args.fmt == "json":
-        return _json_text({"states": states, "y": series.y})
-    return _table_csv(["t", "state", "y"], [range(1, args.length + 1), states.tolist(), series.y.tolist()], 2)
+    columns = [range(1, args.length + 1), states.tolist(), series.y.tolist()]
+    return {"states": states, "y": series.y}, (["t", "state", "y"], columns, "%d,%d,%.10g\n")
 
 
+# Each command prints its summary to stderr and returns its JSON payload and
+# its CSV table, the table as _table_csv's (header, columns, row format).
 _COMMANDS = {
     "fit": _do_fit,
     "grid": _do_grid,
@@ -401,8 +349,8 @@ _COMMANDS = {
 def run(args: argparse.Namespace) -> int:
     """Execute one invocation parsed by build_parser; returns the process exit status."""
     try:
-        text = _COMMANDS[args.command](args)
-        _emit(text, args.out)
+        payload, table = _COMMANDS[args.command](args)
+        _emit(_json_text(payload) if args.fmt == "json" else _table_csv(*table), args.out)
     except CLIError as exc:
         print(f"error: cli: {exc}", file=sys.stderr)
         return 1

@@ -127,6 +127,26 @@ def as_array(y) -> np.ndarray:
     return arr
 
 
+def _state_path(labels, k: int, name: str) -> np.ndarray:
+    """labels as a flat int64 array of states 1..k, or a ValueError that
+    names the cause: more than one axis, a label that is not a finite
+    integer, or one out of range."""
+    arr = np.asarray(labels)
+    if arr.ndim > 1:
+        raise ValueError(f"{name} must be a flat sequence of labels, got shape {arr.shape}")
+    arr = arr.reshape(-1)
+    if arr.dtype.kind not in "iu":
+        # integer arrays pass as they are, without a float copy
+        arr = arr.astype(float)
+        whole = np.isfinite(arr) & (np.floor(arr) == arr)
+        if not whole.all():
+            raise ValueError(f"{name} must be integers, got {arr[~whole][0]}")
+    states = arr.astype(np.int64, copy=False)
+    if states.size and (states.min() < 1 or states.max() > k):
+        raise ValueError(f"{name} must lie in 1..{k}")
+    return states
+
+
 def param_count(config: ModelConfig) -> int:
     """Free parameters: k volatilities plus k - 1 per conditioning row.
 
@@ -245,8 +265,8 @@ def reorder_states(params: ParameterSet, order) -> ParameterSet:
     likelihood unchanged; it is used to present fits with ascending
     volatilities.
     """
-    perm = np.asarray(order, dtype=int).reshape(-1) - 1
     k = params.k
+    perm = _state_path(order, k, "order") - 1
     if perm.size != k or set(perm.tolist()) != set(range(k)):
         raise ValueError(f"order must be a permutation of 1..{k}")
 

@@ -28,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ModelConfig, ParameterSet, _check_compat, as_array, emission_matrix
+from .core import ModelConfig, ParameterSet, _check_compat, _state_path, as_array, emission_matrix
 
 _ENTRY_TOL = 1e-10
 # interior occasions per conditional build: the backward pass stages
@@ -120,26 +120,6 @@ def _posterior_array(arr, config: ModelConfig, name: str, T: int | None = None) 
     if arr.shape != want:
         raise ValueError(f"{name} must have shape (T, k**h, k) = {want}, got {arr.shape}")
     return arr
-
-
-def _state_path(labels, k: int, name: str) -> np.ndarray:
-    """labels as a flat int64 array of states 1..k, or a ValueError that
-    names the cause: more than one axis, a label that is not a finite
-    integer, or one out of range."""
-    arr = np.asarray(labels)
-    if arr.ndim > 1:
-        raise ValueError(f"{name} must be a flat sequence of labels, got shape {arr.shape}")
-    arr = arr.reshape(-1)
-    if arr.dtype.kind not in "iu":
-        # integer arrays pass as they are, without a float copy
-        arr = arr.astype(float)
-        whole = np.isfinite(arr) & (np.floor(arr) == arr)
-        if not whole.all():
-            raise ValueError(f"{name} must be integers, got {arr[~whole][0]}")
-    states = arr.astype(np.int64, copy=False)
-    if states.size and (states.min() < 1 or states.max() > k):
-        raise ValueError(f"{name} must lie in 1..{k}")
-    return states
 
 
 def _bound_error(over: np.ndarray) -> StructuralZeroError:

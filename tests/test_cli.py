@@ -329,7 +329,7 @@ def reference_csv(header, rows):
 def test_table_csv_matches_csv_writer_bytes():
     values = [0.0, -0.0, 1.0, 1 - 1e-16, 5e-324, 1e-300, 0.1, 1e16, 0.123456789012345, -2.5e-7]
     cols = [list(range(1, len(values) + 1)), [1 + i % 3 for i in range(len(values))], values, values[::-1]]
-    got = _table_csv(["t", "state", "q1", "q2"], cols, 2)
+    got = _table_csv(["t", "state", "q1", "q2"], cols, "%d,%d,%.10g,%.10g\n")
     assert got == reference_csv(["t", "state", "q1", "q2"], zip(*cols))
 
 
@@ -352,6 +352,60 @@ def test_decode_and_simulate_csv_bytes(tmp_path, capsys):
     marginals = state_marginals(forward_joint_pass(backward_pass(file_params, config, y), config))
     rows = [(t + 1, int(s), *m) for t, (s, m) in enumerate(zip(local_decode(marginals), marginals.tolist()))]
     assert dec.read_text() == reference_csv(["t", "state", "q1", "q2", "q3"], rows)
+    capsys.readouterr()
+
+
+FIT_KEYS = ["k", "h", "sigma", "early", "pi", "loglik", "npar", "bic", "trace", "converged", "start_index", "T"]
+
+
+def reference_kv_csv(payload, keys):
+    """csv.writer text of key,value rows: lists as compact JSON, floats to 10 digits."""
+    def cell(v):
+        if isinstance(v, list):
+            return json.dumps(v)
+        return f"{v:.10g}" if isinstance(v, float) else str(v)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    for key in keys:
+        writer.writerow([key, cell(payload[key])])
+    return buf.getvalue()
+
+
+def run_both(argv, tmp_path, name):
+    """Run argv once per format; returns (parsed JSON, CSV text)."""
+    out_json, out_csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    assert main(argv + ["--format", "json", "--out", str(out_json)]) == 0
+    assert main(argv + ["--format", "csv", "--out", str(out_csv)]) == 0
+    return json.loads(out_json.read_text()), out_csv.read_text()
+
+
+def test_fit_predict_grid_csv_bytes(tmp_path, sim_csv, capsys):
+    # the key,value and grid CSVs are the JSON payload's values, written the
+    # way csv.writer with minimal quoting writes them
+    em = ["--starts", "2", "--seed", "3", "--max-iter", "40"]
+    for k, h in [(1, 0), (2, 1)]:
+        fit_argv = ["fit", "--input", sim_csv, "--k", str(k), "--h", str(h), *em]
+        payload, text = run_both(fit_argv, tmp_path, f"fit{k}{h}")
+        assert text == reference_kv_csv(payload, FIT_KEYS)
+        params = str(tmp_path / f"fit{k}{h}.json")
+        payload, text = run_both(["predict", "--params", params, "--input", sim_csv], tmp_path, f"pred{k}{h}")
+        assert text == reference_kv_csv(payload, ["next_state", "weights", "sigma"])
+    assert text.splitlines()[2].startswith('weights,"[')
+    one = (tmp_path / "fit10.csv").read_text().splitlines()
+    assert one[3].startswith("sigma,[") and one[4] == "early,[]"
+    assert (tmp_path / "fit21.csv").read_text().splitlines()[10] in ("converged,True", "converged,False")
+
+    grid_argv = ["grid", "--input", sim_csv, "--h-list", "0", "1", "--k-list", "1", "2", *em]
+    payload, text = run_both(grid_argv, tmp_path, "grid")
+    selected = (payload["selected"]["h"], payload["selected"]["k"])
+    rows = [
+        (c["h"], c["k"], c["loglik"], c["npar"], c["bic"], c["converged"], int((c["h"], c["k"]) == selected))
+        for c in payload["cells"]
+    ]
+    assert len(rows) == 4
+    assert text == reference_csv(["h", "k", "loglik", "npar", "bic", "converged", "selected"], rows)
     capsys.readouterr()
 
 

@@ -226,3 +226,15 @@ def test_reorder_states_preserves_likelihood(rng):
     assert ll_a == pytest.approx(ll_b, abs=1e-12)
     with pytest.raises(ValueError):
         reorder_states(params, [1, 1, 2])
+
+
+def test_reorder_states_rejects_truncated_or_flattened_labels(rng):
+    # the same label rule as predict and log_likelihood(reference=...)
+    params = random_parameters(2, 1, rng)
+    with pytest.raises(ValueError, match="order must be integers, got 1.9"):
+        reorder_states(params, [1.9, 2.2])
+    with pytest.raises(ValueError, match=r"order must be a flat sequence of labels, got shape \(1, 2\)"):
+        reorder_states(params, [[2, 1]])
+    with pytest.raises(ValueError, match="order must be a permutation of 1..2"):
+        reorder_states(params, [2, 2])
+    assert np.array_equal(reorder_states(params, [2.0, 1.0]).sigma, params.sigma[::-1])
