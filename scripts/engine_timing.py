@@ -23,7 +23,8 @@ import numpy as np
 
 from hmmsv import ModelConfig, ParameterSet, bw_backward, emission_matrix
 from hmmsv import recursion
-from hmmsv.recursion import _backward_pass, _block_priors, _conditionals, _forward_joint_pass, _numerator, _prior_stack
+from hmmsv.core import _prior_stack
+from hmmsv.recursion import _backward_pass, _block_priors, _conditionals, _forward_joint_pass, _numerator
 
 GRID = ((2, 1, 10_000), (3, 1, 10_000), (3, 2, 10_000), (4, 2, 10_000), (3, 3, 5_000), (2, 4, 5_000))
 BATCHES = (1, 4)

@@ -75,8 +75,7 @@ def ingest(path, column=None, prices: bool = False) -> ObservationSeries:
     if not p.exists():
         raise CLIError(f"input file not found: {path}")
     with open(p, newline="") as fh:
-        raw = list(csv.reader(fh))
-    rows = [(i + 1, row) for i, row in enumerate(raw) if any(cell.strip() for cell in row)]
+        rows = [(line, row) for line, row in enumerate(csv.reader(fh), 1) if "".join(row).strip()]
     if not rows:
         raise CLIError(f"input file is empty: {path}")
 

@@ -10,6 +10,7 @@ as (1,1,1), (1,1,2), (1,2,1), (1,2,2), (2,1,1), ..., (2,2,2).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,8 @@ class ParameterSet:
     order; early[0] is the initial distribution. pi is the (k**h, k) table of
     homogeneous transitions used for every occasion past h; for h = 0 it is
     the single shared marginal. sigma holds the k volatility levels in the
-    units of the observations.
+    units of the observations. _prior_stack pads all h + 1 tables to the
+    layout of pi, so occasion t reads row min(t - 1, h) of one stack.
 
     Construction only coerces and freezes the arrays. Use validate() to check
     the probabilistic invariants.
@@ -86,6 +88,18 @@ class ParameterSet:
         if t <= self.h:
             return self.early[t - 1]
         return self.pi
+
+
+def _prior_stack(params: ParameterSet) -> np.ndarray:
+    """(h+1, k**(h+1)) transition tables in the padded window layout.
+
+    Row t-1 governs occasion t, and every occasion past h reads the last
+    row, pi. Reshaped to (k**h, k), a row is indexed like pi by the lags
+    (u_{t-h}, ..., u_{t-1}); the h + 1 - t lags before the series start lead
+    the index, and the early tables repeat over them.
+    """
+    k, h = params.k, params.h
+    return np.stack([np.tile(params.transition(t).reshape(-1), k ** (h + 1 - t)) for t in range(1, h + 2)])
 
 
 def _check_compat(params: ParameterSet, config: ModelConfig) -> None:
@@ -231,8 +245,9 @@ def assert_valid(params: ParameterSet, config: ModelConfig) -> None:
 def simulate(config: ModelConfig, params: ParameterSet, T: int, seed: int):
     """Draw a latent path and matching observations, deterministic per seed.
 
-    Returns (states, series) with states labeled 1..k. The first h states
-    come from the early tables, the rest from the homogeneous table.
+    Returns (states, series) with states labeled 1..k. Occasion t draws from
+    row min(t - 1, h) of the padded prior stack, _prior_stack, at its lag
+    window: the early tables for t <= h, pi after.
     """
     if T < 1:
         raise ValueError(f"T must be positive, got {T}")
@@ -240,20 +255,14 @@ def simulate(config: ModelConfig, params: ParameterSet, T: int, seed: int):
     k, h = config.k, config.h
     rng = np.random.default_rng(seed)
 
-    cum_early = [np.cumsum(tbl, axis=1) for tbl in params.early]
-    cum_pi = np.cumsum(params.pi, axis=1)
-    u = rng.random(T)
-    states0 = np.empty(T, dtype=np.int64)
+    cum = np.cumsum(_prior_stack(params).reshape(h + 1, k**h, k), axis=2).tolist()
+    path = []
     window = 0
-    mod = k**h
-    for t in range(1, T + 1):
-        table = cum_early[t - 1] if t <= h else cum_pi
-        s = int(np.searchsorted(table[window], u[t - 1], side="right"))
-        if s == k:
-            s = k - 1
-        states0[t - 1] = s
-        if h > 0:
-            window = (window * k + s) % mod
+    for t, u in enumerate(rng.random(T).tolist()):
+        s = min(bisect_right(cum[min(t, h)][window], u), k - 1)
+        path.append(s)
+        window = (window * k + s) % k**h
+    states0 = np.array(path, dtype=np.int64)
     y = rng.normal(0.0, params.sigma[states0])
     return states0 + 1, ObservationSeries(y)
 

@@ -12,6 +12,7 @@ from .core import (
     ModelConfig,
     ParameterSet,
     _check_compat,
+    _prior_stack,
     as_array,
     emission_matrix,
     param_count,
@@ -23,7 +24,6 @@ from .recursion import (
     _default_loglik,
     _forward_joint_pass,
     _posterior_array,
-    _prior_stack,
     backward_pass,  # noqa: F401 -- unused here; bench/selftest.py checks that tracing rebinds it
     state_marginals,
 )

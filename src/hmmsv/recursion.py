@@ -28,7 +28,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ModelConfig, ParameterSet, _check_compat, _state_path, as_array, emission_matrix
+from .core import ModelConfig, ParameterSet, _check_compat, _prior_stack, _state_path, as_array, emission_matrix
 
 _ENTRY_TOL = 1e-10
 # interior occasions per conditional build: the backward pass stages
@@ -48,16 +48,6 @@ class StructuralZeroError(ValueError):
     def __init__(self, message: str, start: int = 0):
         super().__init__(message)
         self.start = start
-
-
-def _prior_stack(params: ParameterSet) -> np.ndarray:
-    """(h+1, k**(h+1)) transition tables in the padded window layout.
-
-    Row t-1 governs occasion t: the early tables repeat over the h + 1 - t
-    leading lags they do not condition on, and the last row is pi.
-    """
-    k, h = params.k, params.h
-    return np.stack([np.tile(params.transition(t).reshape(-1), k ** (h + 1 - t)) for t in range(1, h + 2)])
 
 
 def _numerator(F: np.ndarray, priors: np.ndarray, k: int, h: int, out: np.ndarray) -> np.ndarray:
@@ -408,7 +398,7 @@ def state_marginals(joints) -> np.ndarray:
     return np.asarray(joints).sum(axis=1)
 
 
-def check_posteriors(slices, joints=None, atol: float = _ENTRY_TOL) -> None:
+def check_posteriors(slices, joints=None) -> None:
     """Raise ValueError if the posterior arrays break the paper's invariants.
 
     Every entry must lie in [0, 1], every conditional row of the slices must
@@ -423,8 +413,8 @@ def check_posteriors(slices, joints=None, atol: float = _ENTRY_TOL) -> None:
         T = arr.shape[0] if arr.ndim else 0
         if T == 0:
             raise ValueError(f"{name} array has no occasions: shape {arr.shape}")
-        outside = ((arr < -atol) | (arr > 1.0 + atol)).reshape(T, -1).any(axis=1)
-        drift = (np.abs(arr.sum(axis=axes) - 1.0) > atol).reshape(T, -1).any(axis=1)
+        outside = ((arr < -_ENTRY_TOL) | (arr > 1.0 + _ENTRY_TOL)).reshape(T, -1).any(axis=1)
+        drift = (np.abs(arr.sum(axis=axes) - 1.0) > _ENTRY_TOL).reshape(T, -1).any(axis=1)
         for hit, what in ((outside, "has entries outside [0, 1]"), (drift, "does not sum to one")):
             if hit.any():
                 raise ValueError(f"{name} at t={int(np.argmax(hit)) + 1} {what}")
@@ -518,9 +508,9 @@ def predict(params: ParameterSet, config: ModelConfig, history) -> Prediction:
 
     history is either a flat decoded state path (integer labels 1..k, at
     least the last min(T, h) states) or the (T, k**h, k) array of
-    backward-pass slices, in which case local decoding runs first. Past the
-    chain order the conditional posterior of the next state given the fixed
-    window is just its transition row.
+    backward-pass slices, in which case local decoding runs first. After n
+    states the next state's distribution is row min(n, h) of the padded
+    prior stack, the row simulate draws from, at the last min(n, h) states.
     """
     _check_compat(params, config)
     hist = np.asarray(history)
@@ -529,17 +519,11 @@ def predict(params: ParameterSet, config: ModelConfig, history) -> Prediction:
     else:
         states = _state_path(hist, config.k, "state labels")
     k, h = config.k, config.h
-    n = int(states.size)
-    if n >= h:
-        table = params.pi
-        window = states[n - h :] if h else states[:0]
-    else:
-        table = params.early[n]
-        window = states
+    n = min(int(states.size), h)
     flat = 0
-    for digit in window:
+    for digit in states[states.size - n :]:
         flat = flat * k + int(digit) - 1
-    weights = np.array(table[flat], dtype=float)
+    weights = np.array(_prior_stack(params)[n].reshape(k**h, k)[flat], dtype=float)
     return Prediction(
         next_state=int(np.argmax(weights)) + 1,
         weights=weights,

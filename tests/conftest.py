@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hmmsv import ModelConfig, ParameterSet, emission_matrix
-from hmmsv.recursion import _backward_pass, _prior_stack
+from hmmsv.core import _prior_stack
+from hmmsv.recursion import _backward_pass
 
 
 def random_parameters(k, h, rng, diag_bias=0.0, sigma_range=(0.4, 4.0)):

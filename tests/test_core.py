@@ -194,6 +194,51 @@ def test_simulate_empirical_frequencies_recover_pi():
     assert np.all(np.abs(freq - pi) <= 3 * se)
 
 
+def reference_simulate(config, params, T, seed):
+    """Per-occasion sampler over params.transition(t): searchsorted on the
+    cumulative row of the lag window, capped at k - 1."""
+    k, h = config.k, config.h
+    rng = np.random.default_rng(seed)
+    u = rng.random(T)
+    states0 = np.empty(T, dtype=np.int64)
+    for t in range(1, T + 1):
+        lags = states0[max(t - 1 - h, 0) : t - 1]
+        row = int(np.ravel_multi_index(tuple(lags), (k,) * lags.size)) if lags.size else 0
+        cum = np.cumsum(params.transition(t)[row])
+        states0[t - 1] = min(int(np.searchsorted(cum, u[t - 1], side="right")), k - 1)
+    return states0 + 1, rng.normal(0.0, params.sigma[states0])
+
+
+def with_exact_zeros(params, rng):
+    """params with about a third of each table's entries set to exactly zero,
+    keeping one positive entry per row, rows renormalized."""
+
+    def zero(table):
+        keep = rng.random(table.shape) > 0.35
+        keep[np.arange(table.shape[0]), rng.integers(0, table.shape[1], size=table.shape[0])] = True
+        out = np.where(keep, table, 0.0)
+        return out / out.sum(axis=1, keepdims=True)
+
+    return ParameterSet(early=tuple(zero(e) for e in params.early), pi=zero(params.pi), sigma=params.sigma)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("h", [0, 1, 2, 3])
+def test_simulate_matches_per_occasion_reference(k, h):
+    config = ModelConfig(k=k, h=h)
+    rng = np.random.default_rng(100 * k + h)
+    for zeros in (False, True):
+        params = random_parameters(k, h, rng)
+        if zeros:
+            params = with_exact_zeros(params, rng)
+        for T in sorted({1, h, h + 1, 200} - {0}):
+            for seed in range(3):
+                states, series = simulate(config, params, T, seed=seed)
+                ref_states, ref_y = reference_simulate(config, params, T, seed)
+                assert np.array_equal(states, ref_states) and states.dtype == ref_states.dtype
+                assert np.array_equal(series.y, ref_y)
+
+
 # ---------------------------------------------------------------------------
 # containers and relabeling
 

@@ -24,7 +24,8 @@ from hmmsv import (
     windowed_full_conditional,
 )
 from hmmsv import recursion
-from hmmsv.recursion import _backward_pass, _forward_joint_pass, _prior_stack
+from hmmsv.core import _prior_stack
+from hmmsv.recursion import _backward_pass, _forward_joint_pass
 
 from conftest import batched_slices, random_instance, random_parameters
 
@@ -921,6 +922,25 @@ def test_predict_short_series_uses_early_table(rng):
     params = random_parameters(2, 2, rng)
     pred = predict(params, config, [2])
     assert np.allclose(pred.weights, params.early[1][1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), h=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_predict_reads_the_transition_of_the_next_occasion(k, h, seed):
+    # every history length n = 0..h+1, so the early -> pi switch at n = h - 1
+    # and n = h is covered at every order
+    config = ModelConfig(k=k, h=h)
+    rng = np.random.default_rng(seed)
+    params = random_parameters(k, h, rng)
+    for n in range(h + 2):
+        states = rng.integers(1, k + 1, size=n)
+        m = min(n, h)
+        lags = states[n - m :] - 1
+        row = int(np.ravel_multi_index(tuple(lags), (k,) * m)) if m else 0
+        want = params.transition(m + 1)[row]
+        pred = predict(params, config, states)
+        assert np.array_equal(pred.weights, want)
+        assert pred.next_state == int(np.argmax(want)) + 1
 
 
 def test_predict_rejects_non_integer_labels():
