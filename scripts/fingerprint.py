@@ -6,8 +6,8 @@ T <= 60; every other draw has exact zeros in its transitions, so the
 zero-mass peel path runs too) and prints one digest for each family:
 
 - slices: backward_pass
-- joints: forward_joint_pass of those slices
-- loglik: log_likelihood of those slices
+- joints: forward_joint_pass of those slices, or its error
+- loglik: log_likelihood of those slices, or its error
 - e_step: a batched e_step over three parameter sets, joints and
   log-likelihoods, or the failing start
 - fit: fit with three starts and 25 iterations: parameters, trace,
@@ -18,6 +18,9 @@ zero-mass peel path runs too) and prints one digest for each family:
 
 Errors enter a digest by type and message. Equal digests from two commits
 mean equal bits on these instances, on the same numpy build and machine.
+A finite default log-likelihood that differs from lag_chain_loglik by more
+than 1e-8 relative is printed and makes the exit status 1, so a silently
+wrong likelihood fails the run.
 The cli session runs in a temporary working directory with relative file
 names, so no temporary path reaches its output.
 
@@ -45,6 +48,7 @@ from hmmsv import (
     e_step,
     fit,
     forward_joint_pass,
+    lag_chain_loglik,
     log_likelihood,
 )
 from hmmsv.cli import main as cli_main
@@ -143,6 +147,7 @@ def main() -> int:
     args = parser.parse_args()
     digests = {name: hashlib.sha256() for name in FAMILIES}
     warnings.simplefilter("ignore")
+    status = 0
     for seed in range(args.draws):
         rng = np.random.default_rng([seed, 2718])
         k, h, T = int(rng.integers(1, 5)), int(rng.integers(0, 4)), int(rng.integers(1, 61))
@@ -152,8 +157,14 @@ def main() -> int:
         slices = attempt(lambda: backward_pass(group[0], config, y))
         feed(digests["slices"], slices)
         if not isinstance(slices, Exception):
-            feed(digests["joints"], forward_joint_pass(slices, config))
-            feed(digests["loglik"], attempt(lambda: log_likelihood(group[0], config, y, slices)))
+            feed(digests["joints"], attempt(lambda: forward_joint_pass(slices, config)))
+            ll = attempt(lambda: log_likelihood(group[0], config, y, slices))
+            feed(digests["loglik"], ll)
+            if not isinstance(ll, Exception):
+                want = lag_chain_loglik(group[0], config, y)
+                if not abs(ll - want) <= 1e-8 * abs(want):
+                    print(f"draw {seed}: log_likelihood {ll!r} but lag_chain_loglik {want!r}")
+                    status = 1
         feed(digests["e_step"], attempt(lambda: e_step(group, config, y)))
         res = attempt(lambda: fit(config, y, EMSettings(n_starts=3, max_iterations=25, seed=seed)))
         if not isinstance(res, Exception):
@@ -164,7 +175,7 @@ def main() -> int:
     print(f"numpy {np.__version__}, {args.draws} draws")
     for name in FAMILIES:
         print(f"{name:7s} {digests[name].hexdigest()}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

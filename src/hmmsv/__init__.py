@@ -1,9 +1,11 @@
 """Hidden Markov stochastic-volatility models of arbitrary chain order.
 
-The smoothing engine works entirely with bounded conditional probabilities, so
-posteriors and the log-likelihood come out of a single backward pass with no
-rescaling at any series length. Classic scaled forward-backward recursions and
-exhaustive enumeration ship alongside as verification oracles.
+The smoothing engine works entirely with bounded conditional probabilities,
+with no rescaling at any series length: a backward pass gives the conditional
+posteriors, a forward pass chains them into joint window posteriors, and the
+log-likelihood is the path identity averaged over those joints. Classic
+scaled forward-backward recursions, a scaled forward recursion over lag
+windows and exhaustive enumeration ship alongside as verification oracles.
 """
 
 from .core import (

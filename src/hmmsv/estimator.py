@@ -20,10 +20,9 @@ from .core import (
 )
 from .recursion import (
     StructuralZeroError,
-    _backward_pass,
-    _default_loglik,
-    _forward_joint_pass,
+    _joint_loglik,
     _posterior_array,
+    _posterior_pass,
     backward_pass,  # noqa: F401 -- unused here; bench/selftest.py checks that tracing rebinds it
     state_marginals,
 )
@@ -82,7 +81,13 @@ def e_step(params, config: ModelConfig, y):
     Returns (joints, ll): joints is the (T, k**h, k) array of
     forward_joint_pass, so joints[t-1, :k**(t-1)] is the joint of
     (u_1, ..., u_t) for t <= h, and state_marginals(joints) gives the
-    smoothed state probabilities.
+    smoothed state probabilities. ll is log_likelihood's default: the path
+    identity averaged over those joints. A start whose peel fails its bound
+    check, or whose joint at some occasion does not sum to one, runs the
+    backward pass again on logs, where transition products below the
+    smallest float keep their ratios. If that fails too, typically at an
+    exact-zero transition, StructuralZeroError names the occasion, as in
+    forward_joint_pass.
 
     params may also be a non-empty sequence of S parameter sets. They run
     through one batched pass whose arrays are time first; joints comes back
@@ -101,15 +106,8 @@ def e_step(params, config: ModelConfig, y):
     k, h = config.k, config.h
     F = np.stack([emission_matrix(y_arr, p.sigma) for p in group], axis=1)
     P = np.stack([_prior_stack(p) for p in group])
-    slices = _backward_pass(F, P, k, h)
-    joints = _forward_joint_pass(slices, k, h)
-    lls = []
-    for i in range(len(group)):
-        try:
-            lls.append(_default_loglik(F[:, i], P[i], slices[:, i], config, joints[:, i]))
-        except StructuralZeroError as exc:
-            exc.start = i
-            raise
+    slices, joints = _posterior_pass(F, P, k, h)
+    lls = _joint_loglik(F, P, slices, joints, k, h).tolist()
     return (joints.transpose(1, 0, 2, 3), lls) if batch else (joints[:, 0], lls[0])
 
 
@@ -119,6 +117,12 @@ def _normalize_rows(z: np.ndarray, k: int) -> np.ndarray:
     return np.divide(z, totals, out=np.full_like(z, 1.0 / k), where=totals > 0)
 
 
+def _keep_support(z: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """z with every zero that prev holds positive raised to the smallest
+    normal float."""
+    return np.where((z == 0.0) & (prev > 0.0), np.finfo(float).tiny, z)
+
+
 def m_step(joints: np.ndarray, y, config: ModelConfig, prev: ParameterSet | None = None) -> ParameterSet:
     """Closed-form update from the joint window posteriors of e_step.
 
@@ -126,7 +130,11 @@ def m_step(joints: np.ndarray, y, config: ModelConfig, prev: ParameterSet | None
     transition rows are the normalized expected window counts, pooling all
     homogeneous occasions. A state with no posterior weight keeps its previous
     volatility (prev required) under a DegenerateStateWarning; conditioning
-    rows that were never visited become uniform.
+    rows that were never visited become uniform. With prev, an early or pi
+    entry whose expected count underflowed to zero, where prev's is
+    positive, becomes the smallest normal float instead: EM adds no exact
+    zero that its start did not have, since the peel drops terms at exact
+    zeros.
     """
     y_arr = as_array(y)
     k, h = config.k, config.h
@@ -150,6 +158,8 @@ def m_step(joints: np.ndarray, y, config: ModelConfig, prev: ParameterSet | None
         early.append(_normalize_rows(z, k))
     # every occasion past h uses pi; the sum is zero when there are none
     pi = _normalize_rows(joints[h:].sum(axis=0), k)
+    if prev is not None:
+        early, pi = [_keep_support(z, p) for z, p in zip(early, prev.early)], _keep_support(pi, prev.pi)
     return ParameterSet(early=tuple(early), pi=pi, sigma=sigma)
 
 

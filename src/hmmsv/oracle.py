@@ -19,6 +19,14 @@ from .core import ModelConfig, ParameterSet, _check_compat, as_array, emission_m
 MAX_PATHS = 1_000_000
 
 
+def _log_emission(y_arr: np.ndarray, sigma) -> np.ndarray:
+    """(T, k) zero-mean Gaussian log densities, never exponentiated, so an
+    outlier far beyond every volatility stays finite."""
+    sigma = np.asarray(sigma, dtype=float)
+    z = y_arr[:, None] / sigma
+    return -0.5 * z * z - np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
+
+
 @dataclass(frozen=True)
 class ForwardBackwardTables:
     """Scaled forward/backward tables for a first-order chain.
@@ -104,11 +112,16 @@ def lag_chain_loglik(params: ParameterSet, config: ModelConfig, y) -> float:
     layout of ParameterSet.pi; each occasion multiplies it into its padded
     transition table and emission row, normalizes, and sums out the oldest
     lag. Any order, any length; the tables come from params.transition.
+    Each emission row is scaled by its largest density, found in logs, and
+    the scale is added back, so outliers that underflow every density in
+    linear space keep a finite likelihood.
     """
     _check_compat(params, config)
     y_arr = as_array(y)
     k, h = config.k, config.h
-    F = emission_matrix(y_arr, params.sigma)
+    logF = _log_emission(y_arr, params.sigma)
+    shift = logF.max(axis=1)
+    F = np.exp(logF - shift[:, None])
     a = np.zeros(k**h)
     a[0] = 1.0
     loglik = 0.0
@@ -121,7 +134,7 @@ def lag_chain_loglik(params: ParameterSet, config: ModelConfig, y) -> float:
             raise ValueError(f"zero forward mass at occasion {t}")
         loglik += np.log(c)
         a = (joint / c).reshape(k, -1).sum(axis=0) if h else np.ones(1)
-    return float(loglik)
+    return float(loglik + shift.sum())
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -159,15 +172,15 @@ def brute_force_joint(params: ParameterSet, config: ModelConfig, y) -> BruteForc
     """Exact likelihood and posteriors by enumerating all k**T state paths.
 
     Works for any chain order; guarded to at most one million paths. The joint
-    builds on the log scale, so structurally impossible paths and long
-    products are handled exactly.
+    builds on the log scale from log densities, so structurally impossible
+    paths, long products and far outliers are handled exactly.
     """
     _check_compat(params, config)
     y_arr = as_array(y)
     T, k, h = y_arr.size, config.k, config.h
     if k**T > MAX_PATHS:
         raise ValueError(f"instance too large: {k}**{T} paths exceed {MAX_PATHS}")
-    logF = np.log(emission_matrix(y_arr, params.sigma))
+    logF = _log_emission(y_arr, params.sigma)
     if k == 1:
         return BruteForceResult(
             loglik=float(logF.sum()),

@@ -50,7 +50,7 @@ class StructuralZeroError(ValueError):
         self.start = start
 
 
-def _numerator(F: np.ndarray, priors: np.ndarray, k: int, h: int, out: np.ndarray) -> np.ndarray:
+def _numerator(F: np.ndarray, priors: np.ndarray, k: int, h: int, out: np.ndarray, op=np.multiply) -> np.ndarray:
     """Window numerators of a block of occasions t, built in out.
 
     F holds the block's emission rows time first, like every batched array:
@@ -60,7 +60,8 @@ def _numerator(F: np.ndarray, priors: np.ndarray, k: int, h: int, out: np.ndarra
     contiguous (n, S, k**(h+1+j)) array. Each level repeats the previous one
     over the next future state, column by column, and multiplies in the next
     transition factor in place; the last level is built in out itself, so
-    the build allocates nothing larger than out / k. Returns out.
+    the build allocates nothing larger than out / k. Returns out. With op
+    np.add and the logs of F and priors, out gets the log numerators.
     """
     n, S = F.shape[:2]
     j = priors.shape[1] - 1
@@ -73,7 +74,7 @@ def _numerator(F: np.ndarray, priors: np.ndarray, k: int, h: int, out: np.ndarra
             for c in range(k):
                 cols[..., c] = a
             a = wide
-        np.multiply(a, np.tile(priors[:, l], k**l), out=out if l == j else a)
+        op(a, np.tile(priors[:, l], k**l), out=out if l == j else a)
     return out
 
 
@@ -336,6 +337,101 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
     return Q
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis; -inf where every entry is -inf,
+    +inf where one is +inf."""
+    top = a.max(axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    return np.log(np.exp(a - shift).sum(axis=-1)) + shift[..., 0]
+
+
+def _log_peel(l_inner: np.ndarray, l_next: np.ndarray, k: int) -> np.ndarray:
+    """_peel of one start on logs: l_inner and l_next are the logs of its
+    flat q_inner and its (k**h, k) q_next, and the result is the log of
+    _peel's. A ratio of two conditionals below the smallest float keeps its
+    value here, where _peel reads a zero divisor as an unreachable
+    configuration. Raises and clamps as _peel does.
+    """
+    m = l_next.size
+    ratio = l_next.reshape(1, m) - l_inner.reshape(-1, m)
+    # zero-mass numerators add nothing, as in _peel
+    ratio[:, l_next.reshape(-1) == -np.inf] = -np.inf
+    out = -_logsumexp(ratio.reshape(-1, k))
+    if np.isfinite(l_inner).all():
+        if not out.max() <= _ENTRY_TOL:
+            raise _bound_error(np.array([True]))
+        return out
+    return np.minimum(np.where(out == np.inf, -np.inf, out), 0.0)
+
+
+def _log_backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
+    """(T, k**h, k) slices of one start from its (T, k) emission rows and
+    (h+1, k**(h+1)) prior stack, with the backward pass run on logs.
+
+    The same numerators, conditionals and peels as _backward_pass, one
+    occasion at a time: products of small transitions that leave the float
+    range, and that the linear pass reads as zeros, keep their ratios. Only
+    the slices are exponentiated. A structural zero still drops terms of the
+    peel, as in the linear pass.
+    """
+    T = len(F)
+    L = np.empty((T, k ** (h + 1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logF, logP = np.log(F)[:, None], np.log(P)[None]
+        for t in range(T, 0, -1):
+            j = min(T - t, h)
+            out = np.empty((1, 1, k ** (h + 1 + j)))
+            a = _numerator(logF[t - 1 : t], _block_priors(logP, t, j), k, h, out, op=np.add).reshape(k**h, k, -1)
+            norm = _logsumexp(a.swapaxes(1, 2))[:, None]
+            # a configuration with no mass gets conditional probability zero
+            vals = np.where(norm == -np.inf, -np.inf, a - norm).reshape(-1)
+            for f in range(j, 0, -1):
+                vals = _log_peel(vals, L[t + f - 1], k)
+            L[t - 1] = vals
+    return np.exp(L).reshape(T, k**h, k)
+
+
+def _posterior_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, S, k**h, k) slices and joints of S starts from their (T, S, k)
+    emission rows and (S, h+1, k**(h+1)) prior stacks.
+
+    Every start runs _backward_pass. A start whose slices fail the peel's
+    bound or the joint mass of _forward_joint_pass runs again through
+    _log_backward_pass; if those fail too, the StructuralZeroError names the
+    start. The other starts keep their bits, as in any batch.
+    """
+    T, S = F.shape[:2]
+    linear, logged = list(range(S)), {}
+
+    def relog(i: int) -> np.ndarray:
+        try:
+            logged[i] = _log_backward_pass(F[:, i], P[i], k, h)
+        except StructuralZeroError as exc:
+            exc.start = i
+            raise
+        return logged[i]
+
+    Q = None
+    while Q is None and linear:
+        try:
+            Q = _backward_pass(F[:, linear], P[linear], k, h)
+        except StructuralZeroError as exc:
+            relog(linear.pop(exc.start))
+    if logged:
+        rest, Q = Q, np.empty((T, S, k**h, k))
+        if linear:
+            Q[:, linear] = rest
+        for i, q in logged.items():
+            Q[:, i] = q
+    while True:
+        try:
+            return Q, _forward_joint_pass(Q, k, h)
+        except StructuralZeroError as exc:
+            if exc.start in logged:
+                raise
+            Q[:, exc.start] = relog(exc.start)
+
+
 def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
     """Target slices q(u_t | previous h states, all data) as a (T, k**h, k) array.
 
@@ -363,20 +459,36 @@ def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
     """(T, S, k**h, k) joints from (T, S, k**h, k) slices; see forward_joint_pass.
 
     Two in-place ufunc calls per occasion: the joint is the slice times the
-    carried lag mass, and the next carried mass sums out its oldest lag.
+    carried lag mass, and the next carried mass sums out its oldest lag. One
+    reduction after the loop checks that every joint sums to one; if not, a
+    StructuralZeroError names the first such start and its first occasion.
     """
+    T, S = Q.shape[:2]
     if h == 0:
         # the posterior factorizes over occasions, so each joint is its slice
-        return Q.copy()
-    T, S = Q.shape[:2]
-    J = np.empty(Q.shape)
-    # summing axis 1 of an occasion in this view drops its oldest lag
-    lags = J.reshape(T, S, k, -1, 1)
-    carried = np.zeros((S, k**h, 1))
-    carried[:, 0] = 1.0
-    for q, joint, lag in zip(Q, J, lags):
-        np.multiply(q, carried, out=joint)
-        np.add.reduce(lag, axis=1, out=carried)
+        J = Q.copy()
+    else:
+        J = np.empty(Q.shape)
+        # summing axis 1 of an occasion in this view drops its oldest lag
+        lags = J.reshape(T, S, k, -1, 1)
+        carried = np.zeros((S, k**h, 1))
+        carried[:, 0] = 1.0
+        for q, joint, lag in zip(Q, J, lags):
+            np.multiply(q, carried, out=joint)
+            np.add.reduce(lag, axis=1, out=carried)
+    # einsum reduces narrow windows several times faster than sum
+    totals = np.einsum("tsw->ts", J.reshape(T, S, -1))
+    off = ~(np.abs(totals - 1.0) <= _ENTRY_TOL)
+    if off.any():
+        start = int(np.argmax(off.any(axis=0)))
+        t = int(np.argmax(off[:, start]))
+        raise StructuralZeroError(
+            f"joint at t={t + 1} sums to {totals[t, start]:.6g}, not one "
+            f"({totals[t, start] - 1.0:+.2g}): the slices are "
+            "inconsistent there, typically because an emission underflowed or an "
+            "exact-zero transition made the peel drop terms",
+            start=start,
+        )
     return J
 
 
@@ -387,7 +499,9 @@ def forward_joint_pass(slices, config: ModelConfig) -> np.ndarray:
     (u_{t-h}, ..., u_t) in the layout of the slices, with the lags before the
     series start pinned to index 0. Each joint is its slice times the mass
     carried over the lags, which is the previous joint with its oldest
-    variable summed out.
+    variable summed out. A joint that does not sum to one within 1e-10 raises
+    StructuralZeroError naming its occasion: the peel dropped terms of the
+    slices it came from.
     """
     Q = _posterior_array(slices, config, "slices")
     return _forward_joint_pass(Q[:, None], config.k, config.h)[:, 0]
@@ -446,18 +560,34 @@ def _reference_loglik(F, P, slices, ref, k: int, h: int) -> float | None:
     return float(np.log(f_vals).sum() + np.log(p_vals).sum() - np.log(q_vals).sum())
 
 
-def _default_loglik(F, P, slices, config: ModelConfig, joints=None) -> float:
-    """Log-likelihood along the all-ones path, falling back to the path
-    decoded from the joints, which are computed only if needed."""
-    k, h = config.k, config.h
-    ll = _reference_loglik(F, P, slices, np.ones(F.shape[0], dtype=np.int64), k, h)
-    if ll is None:
-        if joints is None:
-            joints = forward_joint_pass(slices, config)
-        ll = _reference_loglik(F, P, slices, local_decode(state_marginals(joints)), k, h)
-        if ll is None:
-            raise StructuralZeroError("locally decoded reference path still hits a zero posterior")
-    return ll
+def _joint_loglik(F, P, Q, J, k: int, h: int) -> np.ndarray:
+    """(S,) log-likelihoods of S starts: the path identity averaged over the joints.
+
+    F, P, Q and J are the starts' (T, S, k) emission rows, (S, h+1,
+    k**(h+1)) prior stacks, and (T, S, k**h, k) slices and joints. Returns
+    sum_t sum_w J_t(w) (log f_t(u_t) + log p_t(w) - log q_t(w)) over every
+    window w = (u_{t-h}, ..., u_t), where a window without joint mass adds
+    nothing whatever its logs hold (0 log 0 = 0). The emission term is
+    summed against the state marginals; the prior term once per stack row:
+    each occasion t <= h against row t - 1, the later ones' summed joints
+    against row h.
+    """
+    T, S = J.shape[:2]
+    # adding one where there is no mass makes those logs 0 and leaves the
+    # bits of every other entry
+    logq = Q + (J == 0.0)
+    np.log(logq, out=logq)
+    # einsum reduces narrow windows several times faster than sum
+    marginals = np.einsum("tsmk->tsk", J)
+    logf = np.log(F + (marginals == 0.0))
+    per_occasion = np.einsum("tsk,tsk->ts", marginals, logf) - np.einsum("tsmk,tsmk->ts", J, logq)
+    rows = np.zeros(P.shape)
+    rows[:, : min(T, h)] = J[:h].reshape(-1, S, k ** (h + 1)).swapaxes(0, 1)
+    rows[:, h] = J[h:].sum(axis=0).reshape(S, -1)
+    prior = rows * np.log(P + (rows == 0.0))
+    # each start sums its own occasions, contiguous and in one order, so its
+    # bits do not depend on the batch
+    return np.ascontiguousarray(per_occasion.T).sum(axis=1) + prior.reshape(S, -1).sum(axis=1)
 
 
 def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, reference=None) -> float:
@@ -465,9 +595,18 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
 
     For any fixed admissible path u, summing log f(y_t | u_t) +
     log p(u_t | window) - log q(u_t | window, data) over t telescopes to
-    log p(y), and the value does not depend on the chosen path. The default
-    path fixes every state to 1 and falls back to the locally decoded path if
-    that hits a zero posterior.
+    log p(y), and the value does not depend on the chosen path. By default
+    the identity is averaged over the posterior of the paths: every window
+    of every occasion enters with its joint probability from
+    forward_joint_pass, so no path has to be chosen and windows without
+    mass add nothing. The average is exact when every joint sums to one, and
+    forward_joint_pass raises StructuralZeroError naming the occasion where
+    one does not. That happens when an exact-zero transition excludes a
+    state that another route still reaches, or an emission underflows: the
+    reciprocal-sum peel then loses terms, a known limitation.
+
+    With a reference path, the identity runs along that path alone and
+    raises StructuralZeroError if the path hits a zero posterior.
     """
     _check_compat(params, config)
     y_arr = as_array(y)
@@ -476,7 +615,9 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     F = emission_matrix(y_arr, params.sigma)
     P = _prior_stack(params)
     if reference is None:
-        return _default_loglik(F, P, slices, config)
+        Q = slices[:, None]
+        J = _forward_joint_pass(Q, config.k, config.h)
+        return float(_joint_loglik(F[:, None], P[None], Q, J, config.k, config.h)[0])
     ref = _state_path(reference, config.k, "reference states")
     if ref.size != T:
         raise ValueError(f"reference path has length {ref.size}, expected {T}")

@@ -221,7 +221,25 @@ def test_lag_chain_matches_engine_on_long_series(k, h):
 
 
 def test_lag_chain_reports_zero_mass():
+    # only state 1 is reachable; scaled by state 2's density, its row keeps
+    # mass at 40 sigma and underflows at 60
     config = ModelConfig(k=2, h=0)
     params = ParameterSet(early=(), pi=np.array([[1.0, 0.0]]), sigma=np.array([1.0, 2.0]))
+    assert lag_chain_loglik(params, config, [40.0]) == pytest.approx(iid_loglik(np.array([40.0]), 1.0), rel=1e-12)
     with pytest.raises(ValueError, match="zero forward mass at occasion 1"):
-        lag_chain_loglik(params, config, [40.0])
+        lag_chain_loglik(params, config, [60.0])
+
+
+def test_oracles_survive_an_outlier_beyond_every_volatility():
+    # at 60 sigma every emission density underflows in linear space; both
+    # oracles work from log densities and agree
+    config = ModelConfig(k=2, h=1)
+    params = ParameterSet(
+        early=(np.array([[0.5, 0.5]]),),
+        pi=np.array([[0.9, 0.1], [0.2, 0.8]]),
+        sigma=np.array([1.0, 1.2]),
+    )
+    y = np.array([0.3, -0.8, 60.0, 0.1, 1.2, -0.4])
+    exact = brute_force_joint(params, config, y).loglik
+    assert math.isfinite(exact)
+    assert lag_chain_loglik(params, config, y) == pytest.approx(exact, rel=1e-12)

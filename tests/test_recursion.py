@@ -15,7 +15,9 @@ from hmmsv import (
     bw_backward,
     bw_posteriors,
     check_posteriors,
+    e_step,
     forward_joint_pass,
+    lag_chain_loglik,
     local_decode,
     log_likelihood,
     peel,
@@ -24,8 +26,8 @@ from hmmsv import (
     windowed_full_conditional,
 )
 from hmmsv import recursion
-from hmmsv.core import _prior_stack
-from hmmsv.recursion import _backward_pass, _forward_joint_pass
+from hmmsv.core import _prior_stack, emission_matrix
+from hmmsv.recursion import _backward_pass, _forward_joint_pass, _log_backward_pass
 
 from conftest import batched_slices, random_instance, random_parameters
 
@@ -364,6 +366,44 @@ def test_backward_pass_handles_structural_zeros():
     assert ll == pytest.approx(exact.loglik, abs=1e-10)
 
 
+@given(seed=st.integers(0, 2**32 - 1), zeros=st.booleans())
+@settings(deadline=None, max_examples=40)
+def test_log_pass_matches_the_linear_pass(seed, zeros):
+    # with exact zeros, the placeholder rows of unreachable configurations too
+    config, params, y = random_instance(seed, k_max=4, h_max=3, T_max=8)
+    if zeros and config.k > 1:
+        params = with_zeros(params)
+    F = emission_matrix(y, params.sigma)
+    got = _log_backward_pass(F, _prior_stack(params), config.k, config.h)
+    assert np.abs(got - backward_pass(params, config, y)).max() < 1e-12
+
+
+def test_e_step_reruns_an_underflowing_start_on_logs():
+    # every factor of some window numerators at t = 2 is positive, but their
+    # products underflow; read as zeros, they make the linear peel drop
+    # terms and the joint at t = 1 sum to 1.82
+    config = ModelConfig(k=2, h=2)
+    params = ParameterSet(
+        early=(np.array([[0.5, 0.5]]), np.array([[1 - 6e-7, 6e-7], [5e-185, 1.0]])),
+        pi=np.array([[1.0, 2e-155], [0.5, 0.5], [0.5, 0.5], [2e-151, 1.0]]),
+        sigma=np.array([1.5, 2.2]),
+    )
+    y = np.array([0.6, -0.1, -1.4, 1.8, 0.3, 1.0])
+    with pytest.raises(StructuralZeroError, match="joint at t=1 sums to 1.8"):
+        forward_joint_pass(backward_pass(params, config, y), config)
+    joints, ll = e_step(params, config, y)
+    exact = brute_force_joint(params, config, y)
+    want = [exact.window_posterior([t]) for t in range(1, 7)]
+    assert np.abs(state_marginals(joints) - want).max() < 1e-12
+    assert ll == pytest.approx(exact.loglik, rel=1e-12)
+    # a start beside it keeps its bits, and so does the rerun start
+    other = random_parameters(2, 2, np.random.default_rng(5))
+    batch, lls = e_step([other, params], config, y)
+    alone, ll_other = e_step(other, config, y)
+    assert np.array_equal(batch[0], alone) and lls[0] == ll_other
+    assert np.array_equal(batch[1], joints) and lls[1] == ll
+
+
 # ---------------------------------------------------------------------------
 # start axis: several parameter sets share one pass
 
@@ -381,7 +421,9 @@ def assert_batch_matches_alone(group, config, y):
 
 def test_batch_mixes_zero_mass_and_positive_starts(rng):
     # the start with exact zeros takes the zero-mass peel path; the positive
-    # starts beside it keep the checked fast path and their own bits
+    # starts beside it keep the checked fast path and their own bits. Its
+    # zeros exclude a state that another route still reaches, so the peel
+    # drops terms and its joint at t = 1 does not sum to one
     config = ModelConfig(k=2, h=2)
     zero = ParameterSet(
         early=(np.array([[1.0, 0.0]]), np.array([[0.7, 0.3], [0.4, 0.6]])),
@@ -398,7 +440,16 @@ def test_batch_mixes_zero_mass_and_positive_starts(rng):
     y = rng.normal(0, 1.5, size=30)
     assert np.any(backward_pass(zero, config, y) == 0.0)
     group = [random_parameters(2, 2, rng), zero, near_one, random_parameters(2, 2, rng)]
-    assert_batch_matches_alone(group, config, y)
+    slices = batched_slices(group, config, y)
+    for i, params in enumerate(group):
+        assert np.array_equal(slices[:, i], backward_pass(params, config, y))
+    others = [0, 2, 3]
+    joints = _forward_joint_pass(slices[:, others], config.k, config.h)
+    for j, i in enumerate(others):
+        assert np.array_equal(joints[:, j], forward_joint_pass(slices[:, i], config))
+    with pytest.raises(StructuralZeroError, match="joint at t=1 ") as info:
+        _forward_joint_pass(slices, config.k, config.h)
+    assert info.value.start == 1
 
 
 def test_batch_crosses_block_boundaries(rng, monkeypatch):
@@ -820,9 +871,9 @@ def test_loglik_rejects_malformed_reference_paths():
     assert whole == log_likelihood(params, config, y, slices, reference=[1, 2, 1, 1, 2, 2])
 
 
-def test_loglik_default_falls_back_to_decoded_path():
-    # state 1 is structurally dead: the all-ones path has zero mass, the
-    # decoded path does not
+def test_loglik_default_with_a_dead_state_matches_enumeration():
+    # state 1 is structurally dead: every window holding it has no joint
+    # mass and adds nothing, whatever its logs
     config = ModelConfig(k=2, h=1)
     params = ParameterSet(
         early=(np.array([[0.0, 1.0]]),),
@@ -833,6 +884,66 @@ def test_loglik_default_falls_back_to_decoded_path():
     slices = backward_pass(params, config, y)
     ll = log_likelihood(params, config, y, slices)
     assert ll == pytest.approx(brute_force_joint(params, config, y).loglik, abs=1e-10)
+
+
+def test_inconsistent_joints_raise_naming_the_occasion():
+    # pi's zero excludes state 2 after state 1, but state 2 at t = 2 is still
+    # reached from state 2 at t = 1: the peel at t = 1 drops that term and
+    # its joint sums to 1.2018; the identity along one path gave -3.1583,
+    # against the exact -2.8684
+    config = ModelConfig(k=2, h=1)
+    params = ParameterSet(
+        early=(np.array([[0.4, 0.6]]),),
+        pi=np.array([[1.0, 0.0], [0.3, 0.7]]),
+        sigma=np.array([1.0, 2.0]),
+    )
+    y = np.array([0.5, -1.0])
+    assert lag_chain_loglik(params, config, y) == pytest.approx(brute_force_joint(params, config, y).loglik)
+    slices = backward_pass(params, config, y)
+    calls = [
+        lambda: log_likelihood(params, config, y, slices),
+        lambda: e_step(params, config, y),
+        lambda: forward_joint_pass(slices, config),
+    ]
+    for call in calls:
+        with pytest.raises(StructuralZeroError, match=r"joint at t=1 sums to 1\.20182, not one") as info:
+            call()
+        assert info.value.start == 0
+
+
+def with_random_zeros(params, rng, share=0.4):
+    """params with each transition set to exactly 0 with probability share;
+    each row keeps its largest entry."""
+
+    def table(rows):
+        keep = (rng.random(rows.shape) >= share) | (rows == rows.max(axis=1, keepdims=True))
+        rows = np.where(keep, rows, 0.0)
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    return ParameterSet(early=tuple(table(e) for e in params.early), pi=table(params.pi), sigma=params.sigma)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 4),
+    h=st.integers(0, 3),
+    T=st.integers(1, 40),
+    random_zeros=st.booleans(),
+)
+@settings(deadline=None, max_examples=60)
+def test_loglik_with_exact_zeros_agrees_or_raises(seed, k, h, T, random_zeros):
+    # exact zeros can make the peel drop terms; the default likelihood then
+    # raises instead of returning a wrong value
+    rng = np.random.default_rng(seed)
+    config = ModelConfig(k=k, h=h)
+    params = random_parameters(k, h, rng)
+    params = with_random_zeros(params, rng) if random_zeros else with_zeros(params)
+    y = rng.normal(0.0, 2.0, size=T)
+    try:
+        ll = log_likelihood(params, config, y, backward_pass(params, config, y))
+    except StructuralZeroError:
+        return
+    assert ll == pytest.approx(lag_chain_loglik(params, config, y), rel=1e-8)
 
 
 def test_posterior_arrays_are_checked_by_shape():
