@@ -9,6 +9,9 @@ scaled forward-backward smoother, as the yardstick where it applies
 build alone, block by block as the pass runs it, per interior occasion, so
 that the build and the peel loop (backward less build) show separately.
 Emission rows and prior stacks are built outside the timed region.
+The forward pass runs in chunks at (2, 1) and (3, 1) only: (2, 3), at
+k**(2h+1) = 128 per start, is the cheapest grid point past the chunk bound
+of 64 and runs occasion by occasion, as (3, 2) does.
 
     python scripts/engine_timing.py [--repeats 5] [--scale 1.0]
 
@@ -26,7 +29,9 @@ from hmmsv import recursion
 from hmmsv.core import _prior_stack
 from hmmsv.recursion import _backward_pass, _block_priors, _conditionals, _forward_joint_pass, _numerator
 
-GRID = ((2, 1, 10_000), (3, 1, 10_000), (3, 2, 10_000), (4, 2, 10_000), (3, 3, 5_000), (2, 4, 5_000))
+GRID = (
+    (2, 1, 10_000), (3, 1, 10_000), (2, 3, 10_000), (3, 2, 10_000), (4, 2, 10_000), (3, 3, 5_000), (2, 4, 5_000)
+)
 BATCHES = (1, 4)
 
 

@@ -16,7 +16,8 @@ zero-mass peel path runs too) and prints one digest for each family:
   JSON and CSV, and one failing command): each command's arguments, exit
   code, stdout and stderr, then every file the session wrote
 
-Errors enter a digest by type and message. Equal digests from two commits
+Errors enter a digest by type and start, not by message, so rewording a
+message moves no digest. Equal digests from two commits
 mean equal bits on these instances, on the same numpy build and machine.
 A finite default log-likelihood that differs from lag_chain_loglik by more
 than 1e-8 relative is printed and makes the exit status 1, so a silently
@@ -96,7 +97,7 @@ def random_set(k: int, h: int, rng, zeros: bool) -> ParameterSet:
 def feed(digest, value) -> None:
     """Add arrays, numbers, tuples and errors to digest, shapes included."""
     if isinstance(value, Exception):
-        digest.update(f"{type(value).__name__}:{value}:{getattr(value, 'start', '')}".encode())
+        digest.update(f"{type(value).__name__}:{getattr(value, 'start', '')}".encode())
     elif isinstance(value, (tuple, list)):
         for item in value:
             feed(digest, item)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import ceil, sqrt
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,6 +37,11 @@ _ENTRY_TOL = 1e-10
 # 1 / (k - 1) of that and build transients of 1 / k of it; a grid-orders op,
 # whose k = 3, h = 3 cell stages 2,494 occasions, peaks at 83 MiB traced
 _BLOCK = 4096
+# largest k**(2h+1), a chunk product's cost per start and occasion, at which
+# the forward joint pass runs in chunks: with fit's ten starts they beat the
+# loop up to 64 and lost at 128 (2-CPU host). S stays out of the rule, so a
+# start's bits never depend on its batch
+_CHUNK_COST = 64
 
 
 class StructuralZeroError(ValueError):
@@ -455,25 +461,71 @@ def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
     return _backward_pass(F, _prior_stack(params)[None], config.k, config.h)[:, 0]
 
 
+def _chunk_starts(steps: np.ndarray, carried: np.ndarray) -> np.ndarray:
+    """(S, k**h, 1, B) lag masses entering the B chunks of the (L, S, k**h,
+    k, B) slices steps, step-major and chunk last; the first is carried.
+
+    All chunks but the last map the basis lag vectors through their L
+    occasions in lockstep, giving the rows of their row-stochastic transfer
+    products; the starts then chain through those. Rows of unreachable
+    configurations, whose placeholder slices may sum above one, are clamped
+    at one each step: finite, and they carry nothing.
+    """
+    L, S, m, k, B = steps.shape
+    # M[:, w, b, c]: entry w of row b of chunk c's product; chunk axis last
+    # for long inner loops
+    M = np.zeros((S, m, m, B - 1))
+    M[:, range(m), range(m)] = 1.0
+    wide = np.empty((S, m, k, m, B - 1))
+    lags = wide.reshape(S, k, m, m, B - 1)
+    for q in steps[..., None, :-1]:
+        np.multiply(q, M[:, :, None], out=wide)
+        np.add.reduce(lags, axis=1, out=M)
+        np.minimum(M, 1.0, out=M)
+    starts = np.empty((S, m, 1, B))
+    starts[..., 0] = carried
+    mass = np.empty((S, m, m))
+    for c in range(B - 1):
+        np.multiply(starts[..., c], M[..., c].swapaxes(1, 2), out=mass)
+        np.add.reduce(mass, axis=1, out=starts[:, :, 0, c + 1])
+    return starts
+
+
 def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
     """(T, S, k**h, k) joints from (T, S, k**h, k) slices; see forward_joint_pass.
 
-    Two in-place ufunc calls per occasion: the joint is the slice times the
-    carried lag mass, and the next carried mass sums out its oldest lag. One
-    reduction after the loop checks that every joint sums to one; if not, a
-    StructuralZeroError names the first such start and its first occasion.
+    Each joint is the slice times the carried lag mass, and the next carried
+    mass sums out its oldest lag: two in-place ufunc calls per occasion. If
+    k**(2h+1) <= _CHUNK_COST and T holds two chunks of L = ceil(sqrt(T k**h
+    / k)), _chunk_starts starts each chunk and the chunks run those calls in
+    lockstep; the last T mod L occasions follow. One reduction then checks
+    that every joint sums to one; if not, a StructuralZeroError names the
+    first such start and its first occasion.
     """
     T, S = Q.shape[:2]
     if h == 0:
         # the posterior factorizes over occasions, so each joint is its slice
         J = Q.copy()
     else:
+        m = k**h
         J = np.empty(Q.shape)
+        carried = np.zeros((S, m, 1))
+        carried[:, 0] = 1.0
+        L = ceil(sqrt(T * m // k))
+        done = T - T % L if m * m * k <= _CHUNK_COST and 2 * L <= T else 0
+        if done:
+            # step-major views, chunk axis last like carried
+            steps = Q[:done].reshape(-1, L, S, m, k).transpose(1, 2, 3, 4, 0)
+            carried = _chunk_starts(steps, carried)
+            joints = J[:done].reshape(-1, L, S, m, k).transpose(1, 2, 3, 4, 0)
+            lags = J[:done].reshape(-1, L, S, k, m, 1).transpose(1, 2, 3, 4, 5, 0)
+            for q, joint, lag in zip(steps, joints, lags):
+                np.multiply(q, carried, out=joint)
+                np.add.reduce(lag, axis=1, out=carried)
+            carried = carried[..., -1]
         # summing axis 1 of an occasion in this view drops its oldest lag
         lags = J.reshape(T, S, k, -1, 1)
-        carried = np.zeros((S, k**h, 1))
-        carried[:, 0] = 1.0
-        for q, joint, lag in zip(Q, J, lags):
+        for q, joint, lag in zip(Q[done:], J[done:], lags[done:]):
             np.multiply(q, carried, out=joint)
             np.add.reduce(lag, axis=1, out=carried)
     # einsum reduces narrow windows several times faster than sum
@@ -499,9 +551,10 @@ def forward_joint_pass(slices, config: ModelConfig) -> np.ndarray:
     (u_{t-h}, ..., u_t) in the layout of the slices, with the lags before the
     series start pinned to index 0. Each joint is its slice times the mass
     carried over the lags, which is the previous joint with its oldest
-    variable summed out. A joint that does not sum to one within 1e-10 raises
-    StructuralZeroError naming its occasion: the peel dropped terms of the
-    slices it came from.
+    variable summed out; where k**(2h+1) <= 64, long series chain it in
+    chunks, the same to rounding. A joint that does not sum to one within
+    1e-10 raises StructuralZeroError naming its occasion: the peel dropped
+    terms of the slices it came from.
     """
     Q = _posterior_array(slices, config, "slices")
     return _forward_joint_pass(Q[:, None], config.k, config.h)[:, 0]
@@ -509,7 +562,8 @@ def forward_joint_pass(slices, config: ModelConfig) -> np.ndarray:
 
 def state_marginals(joints) -> np.ndarray:
     """Posterior probability of each state at each occasion; rows sum to one."""
-    return np.asarray(joints).sum(axis=1)
+    # einsum reduces narrow windows several times faster than sum
+    return np.einsum("...mk->...k", joints)
 
 
 def check_posteriors(slices, joints=None) -> None:

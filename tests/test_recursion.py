@@ -1,8 +1,10 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -944,6 +946,137 @@ def test_loglik_with_exact_zeros_agrees_or_raises(seed, k, h, T, random_zeros):
     except StructuralZeroError:
         return
     assert ll == pytest.approx(lag_chain_loglik(params, config, y), rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# chunked forward pass
+
+
+@contextlib.contextmanager
+def chunk_calls():
+    """Record how many occasions each _chunk_starts call inside the block chains."""
+    calls = []
+    real = recursion._chunk_starts
+
+    def spy(steps, carried):
+        calls.append(steps.shape[0] * steps.shape[-1])
+        return real(steps, carried)
+
+    with mock.patch.object(recursion, "_chunk_starts", spy):
+        yield calls
+
+
+def loop_joints(slices, k, h):
+    """_forward_joint_pass with chunking off: one occasion after another."""
+    with mock.patch.object(recursion, "_CHUNK_COST", 0):
+        return _forward_joint_pass(slices, k, h)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    h=st.integers(1, 3),
+    S=st.integers(1, 4),
+    random_zeros=st.booleans(),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=80)
+def test_chunked_joints_agree_or_raise(seed, k, h, S, random_zeros, data):
+    # T up to about 4 chunks of L = ceil(sqrt(T k**h / k)), with a tail; a
+    # draw either raises where the loop raises, naming the same start, or
+    # matches the oracles, the loop, and every start's solo bits
+    assume(k ** (2 * h + 1) <= recursion._CHUNK_COST)
+    T = data.draw(st.integers(2, 16 * k ** (h - 1) + 8), label="T")
+    rng = np.random.default_rng(seed)
+    config = ModelConfig(k=k, h=h)
+    group = [random_parameters(k, h, rng) for _ in range(S)]
+    if random_zeros:
+        group = [with_random_zeros(p, rng) for p in group]
+    y = rng.normal(0.0, 2.0, size=T)
+    try:
+        slices = batched_slices(group, config, y)
+    except StructuralZeroError:
+        return
+    with chunk_calls() as calls:
+        try:
+            joints = _forward_joint_pass(slices, k, h)
+        except StructuralZeroError as exc:
+            with pytest.raises(StructuralZeroError) as loop:
+                loop_joints(slices, k, h)
+            assert (str(loop.value), loop.value.start) == (str(exc), exc.start)
+            return
+    assert bool(calls) == (T >= 2 * math.ceil(math.sqrt(T * k ** (h - 1))))
+    assert not np.isnan(joints).any()
+    assert np.abs(joints - loop_joints(slices, k, h)).max() < 1e-12
+    for i, params in enumerate(group):
+        assert np.array_equal(joints[:, i], _forward_joint_pass(slices[:, i : i + 1], k, h)[:, 0])
+        if k**T <= 2**16:
+            exact = brute_force_joint(params, config, y)
+            for t in range(1, T + 1):
+                n_vars = min(t, h + 1)
+                got = joints[t - 1, i, : k ** (n_vars - 1)].reshape(-1)
+                want = exact.window_posterior(list(range(t - n_vars + 1, t + 1)))
+                assert np.abs(got - want).max() < 1e-10
+        if h == 1:
+            marg, pair = bw_posteriors(bw_backward(params, config, y))
+            assert np.abs(joints[0, i, 0] - marg[0]).max() < 1e-10
+            assert np.abs(joints[1:, i] - pair).max() < 1e-10
+
+
+def test_chunked_inconsistent_joints_name_the_occasion():
+    # the reproduction of test_inconsistent_joints_raise_naming_the_occasion,
+    # padded to 50 occasions: chunks of 8, and the loop's error at t = 1
+    config = ModelConfig(k=2, h=1)
+    params = ParameterSet(
+        early=(np.array([[0.4, 0.6]]),),
+        pi=np.array([[1.0, 0.0], [0.3, 0.7]]),
+        sigma=np.array([1.0, 2.0]),
+    )
+    y = np.concatenate([[0.5, -1.0], np.random.default_rng(3).normal(0.0, 1.5, size=48)])
+    slices = backward_pass(params, config, y)
+    with pytest.raises(StructuralZeroError) as loop:
+        loop_joints(slices[:, None], 2, 1)
+    with chunk_calls() as calls, pytest.raises(StructuralZeroError, match=r"joint at t=1 sums to ") as info:
+        forward_joint_pass(slices, config)
+    assert calls == [48]
+    assert str(info.value) == str(loop.value)
+    assert info.value.start == loop.value.start == 0
+
+
+def test_chunked_joints_stay_finite_over_placeholder_rows():
+    # state 1 keeps all the mass; the rows of the unreachable states 2..4 are
+    # placeholders of ones, summing to 4. Unclamped, a transfer product over
+    # 700 occasions reaches 3**700, which overflows, and inf times the zero
+    # mass carried there is NaN
+    k = 4
+    slices = np.ones((1400, 1, k, k))
+    slices[:, 0, 0] = np.eye(k)[0]
+    carried = np.eye(k)[:1, :, None]
+    # two chunks of 700, step-major and chunk last
+    starts = recursion._chunk_starts(slices.reshape(2, 700, 1, k, k).transpose(1, 2, 3, 4, 0), carried)
+    assert np.array_equal(starts, np.stack([carried, carried], axis=-1))
+    # through the pass: 144 occasions run as 12 chunks of 12, as the loop does
+    with chunk_calls() as calls:
+        joints = _forward_joint_pass(slices[:144], k, 1)
+    assert calls == [144]
+    assert np.array_equal(joints, loop_joints(slices[:144], k, 1))
+    assert np.array_equal(state_marginals(joints[:, 0]), np.tile(np.eye(k)[0], (144, 1)))
+
+
+def test_chunk_route_ignores_the_batch_size():
+    # k = 2, h = 3 costs 128 per start: the loop at any batch size, so ten
+    # starts keep the bits of each one alone; k = 4, h = 1 chunks at any size
+    for k, h, chunked in ((2, 3, False), (4, 1, True)):
+        rng = np.random.default_rng(k)
+        config = ModelConfig(k=k, h=h)
+        group = [random_parameters(k, h, rng) for _ in range(10)]
+        y = rng.normal(0.0, 1.0, size=400)
+        slices = batched_slices(group, config, y)
+        with chunk_calls() as calls:
+            joints = _forward_joint_pass(slices, k, h)
+            alone = [_forward_joint_pass(slices[:, i : i + 1], k, h) for i in range(10)]
+        assert len(calls) == (11 if chunked else 0)
+        assert np.array_equal(joints, np.concatenate(alone, axis=1))
 
 
 def test_posterior_arrays_are_checked_by_shape():
