@@ -24,10 +24,9 @@ import time
 
 import numpy as np
 
-from hmmsv import ModelConfig, ParameterSet, bw_backward, emission_matrix
+from hmmsv import ModelConfig, ParameterSet, bw_backward
 from hmmsv import recursion
-from hmmsv.core import _prior_stack
-from hmmsv.recursion import _backward_pass, _block_priors, _conditionals, _forward_joint_pass, _numerator
+from hmmsv.recursion import _backward_pass, _block_priors, _conditionals, _forward_joint_pass, _inputs, _numerator
 
 GRID = (
     (2, 1, 10_000), (3, 1, 10_000), (2, 3, 10_000), (3, 2, 10_000), (4, 2, 10_000), (3, 3, 5_000), (2, 4, 5_000)
@@ -76,16 +75,15 @@ def main() -> int:
         rng = np.random.default_rng([k, h, T])
         group = [random_set(k, h, rng) for _ in range(max(BATCHES))]
         y = rng.normal(0.0, 1.5, size=T)
-        row = [k, h, T]
+        row, config = [k, h, T], ModelConfig(k=k, h=h)
         for S in BATCHES:
-            F = np.stack([emission_matrix(y, p.sigma) for p in group[:S]], axis=1)
-            P = np.stack([_prior_stack(p) for p in group[:S]])
+            F, P = _inputs(group[:S], config, y)
             Q = _backward_pass(F, P, k, h)
             row.append(median_us(lambda: interior_build(F, P, k, h), args.repeats, T - 2 * h))
             row.append(median_us(lambda: _backward_pass(F, P, k, h), args.repeats, T))
             row.append(median_us(lambda: _forward_joint_pass(Q, k, h), args.repeats, T))
         if h == 1:
-            row.append(median_us(lambda: bw_backward(group[0], ModelConfig(k=k, h=h), y), args.repeats, T))
+            row.append(median_us(lambda: bw_backward(group[0], config, y), args.repeats, T))
         else:
             row.append("-")
         print("  ".join(f"{c:>12.2f}" if isinstance(c, float) else f"{c!s:>12s}" for c in row))

@@ -213,7 +213,7 @@ def validate(params: ParameterSet, config: ModelConfig) -> list[str]:
         problems.append(f"expected {h} early transition tables, got {len(params.early)}")
 
     tables: list[tuple[str, np.ndarray, tuple[int, int], int]] = []
-    for i, table in enumerate(params.early[: h if len(params.early) == h else len(params.early)]):
+    for i, table in enumerate(params.early):
         tables.append((f"early transitions for occasion {i + 1}", table, (k**i, k), i))
     tables.append(("homogeneous transitions", params.pi, (k**h, k), h))
 

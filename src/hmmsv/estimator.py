@@ -8,18 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ModelConfig,
-    ParameterSet,
-    _check_compat,
-    _prior_stack,
-    as_array,
-    emission_matrix,
-    param_count,
-    reorder_states,
-)
+from .core import ModelConfig, ParameterSet, as_array, param_count, reorder_states
 from .recursion import (
     StructuralZeroError,
+    _inputs,
     _joint_loglik,
     _posterior_array,
     _posterior_pass,
@@ -100,12 +92,8 @@ def e_step(params, config: ModelConfig, y):
     group = list(params) if batch else [params]
     if not group:
         raise ValueError("e_step needs at least one parameter set")
-    for p in group:
-        _check_compat(p, config)
-    y_arr = as_array(y)
+    F, P = _inputs(group, config, y)
     k, h = config.k, config.h
-    F = np.stack([emission_matrix(y_arr, p.sigma) for p in group], axis=1)
-    P = np.stack([_prior_stack(p) for p in group])
     slices, joints = _posterior_pass(F, P, k, h)
     lls = _joint_loglik(F, P, slices, joints, k, h).tolist()
     return (joints.transpose(1, 0, 2, 3), lls) if batch else (joints[:, 0], lls[0])
@@ -184,7 +172,7 @@ def _initial_parameters(config: ModelConfig, y_arr, rng, quantile_start: bool) -
         table = np.empty((n_rows, k))
         for r in range(n_rows):
             row = rng.dirichlet(np.ones(k))
-            if biased and k > 1:
+            if biased:
                 row = 0.2 * row
                 row[r % k] += 0.8
             table[r] = row

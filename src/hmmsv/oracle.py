@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ModelConfig, ParameterSet, _check_compat, as_array, emission_matrix
+from .core import ModelConfig, ParameterSet, _check_compat, as_array
 
 MAX_PATHS = 1_000_000
 
@@ -33,8 +33,12 @@ class ForwardBackwardTables:
 
     forward rows are the normalized filtering distributions and log_scale
     accumulates the per-occasion normalizers, so loglik = log_scale.sum().
-    backward is scaled by the same normalizers, which makes
-    forward * backward the smoothed marginals without further normalization.
+    emission rows are scaled by their largest density, found in logs, and
+    log_scale adds each row's log scale back, so outliers that underflow
+    every density in linear space keep a finite likelihood. backward is
+    scaled by the normalizers of the scaled rows, where each row's scale
+    cancels, which makes forward * backward the smoothed marginals without
+    further normalization; bw_posteriors divides by the same normalizers.
     """
 
     forward: np.ndarray
@@ -55,7 +59,9 @@ def bw_forward(params: ParameterSet, config: ModelConfig, y) -> ForwardBackwardT
         raise ValueError("the forward-backward oracle handles first-order chains only")
     y_arr = as_array(y)
     T, k = y_arr.size, config.k
-    F = emission_matrix(y_arr, params.sigma)
+    logF = _log_emission(y_arr, params.sigma)
+    shift = logF.max(axis=1)
+    F = np.exp(logF - shift[:, None])
     fwd = np.empty((T, k))
     log_c = np.empty(T)
     a = params.early[0][0] * F[0]
@@ -66,21 +72,27 @@ def bw_forward(params: ParameterSet, config: ModelConfig, y) -> ForwardBackwardT
         if not c > 0:
             raise ValueError(f"zero forward mass at occasion {t + 1}")
         fwd[t] = a / c
-        log_c[t] = np.log(c)
+        log_c[t] = np.log(c) + shift[t]
     return ForwardBackwardTables(
         forward=fwd, log_scale=log_c, transition=np.array(params.pi), emission=F
     )
+
+
+def _scaled_normalizers(tables: ForwardBackwardTables) -> np.ndarray:
+    """(T-1,) normalizers of occasions 2..T in the forward recursion on the
+    scaled emission rows."""
+    return ((tables.forward[:-1] @ tables.transition) * tables.emission[1:]).sum(axis=1)
 
 
 def bw_backward(params: ParameterSet, config: ModelConfig, y) -> ForwardBackwardTables:
     """Complete scaled tables: forward pass plus the matching backward pass."""
     tables = bw_forward(params, config, y)
     T, k = tables.emission.shape
-    c = np.exp(tables.log_scale)
+    c = _scaled_normalizers(tables)
     back = np.empty((T, k))
     back[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
-        back[t] = (tables.transition @ (tables.emission[t + 1] * back[t + 1])) / c[t + 1]
+        back[t] = (tables.transition @ (tables.emission[t + 1] * back[t + 1])) / c[t]
     return replace(tables, backward=back)
 
 
@@ -91,13 +103,13 @@ def bw_posteriors(tables: ForwardBackwardTables):
     marginals = tables.forward * tables.backward
     T, k = marginals.shape
     pairwise = np.empty((T - 1, k, k))
-    c = np.exp(tables.log_scale)
+    c = _scaled_normalizers(tables)
     for t in range(T - 1):
         pairwise[t] = (
             tables.forward[t][:, None]
             * tables.transition
             * (tables.emission[t + 1] * tables.backward[t + 1])[None, :]
-            / c[t + 1]
+            / c[t]
         )
     return marginals, pairwise
 

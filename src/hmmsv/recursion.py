@@ -107,6 +107,17 @@ def _block_priors(P: np.ndarray, t: int, j: int) -> np.ndarray:
     return P[:, np.minimum(np.arange(t - 1, t + j), P.shape[1] - 1)]
 
 
+def _inputs(group, config: ModelConfig, y) -> tuple[np.ndarray, np.ndarray]:
+    """(F, P) for the parameter sets in group on the series y: their (T, S,
+    k) emission rows and (S, h+1, k**(h+1)) prior stacks, [:, i] and [i] for
+    the set group[i]. Every set must fit config and y must pass as_array."""
+    for params in group:
+        _check_compat(params, config)
+    y = as_array(y)
+    F = np.stack([emission_matrix(y, params.sigma) for params in group], axis=1)
+    return F, np.stack([_prior_stack(params) for params in group])
+
+
 def _posterior_array(arr, config: ModelConfig, name: str, T: int | None = None) -> np.ndarray:
     """arr as a float array, or a ValueError unless its shape is (T, k**h, k);
     T defaults to len(arr)."""
@@ -212,17 +223,17 @@ def _wave_peel(heads: np.ndarray, conds: np.ndarray, Q: np.ndarray, a: int, j: i
     def sweep(rows, lo: int, hi: int) -> None:
         # the steps of rows, each running levels lo..hi
         levels = list(zip(inputs[lo - 1 : hi], ratios[lo - 1 : hi]))
-        first, second, *rest = ratio[off[lo] - off[1] : off[hi + 1] - off[1]].reshape(-1, k).T
+        first, *rest = ratio[off[lo] - off[1] : off[hi + 1] - off[1]].reshape(-1, k).T
         outs = heads[:, off[lo - 1] : off[hi]]
         for r in rows:
             divisor = divisors[r]
             for inner, rat in levels:
                 np.divide(divisor, inner[r], out=rat)
-            out = outs[r - 1]
-            np.add(first, second, out=out)
+            out, total = outs[r - 1], first
             for col in rest:
-                np.add(out, col, out=out)
-            np.reciprocal(out, out=out)
+                np.add(total, col, out=out)
+                total = out
+            np.reciprocal(total, out=out)
 
     # row r runs level f of occasion a + r - f for every f whose occasion
     # lies in the block: the fill steps, the full steps, the drain steps
@@ -254,16 +265,15 @@ def windowed_full_conditional(
     numerator chains the emission at t with the transition factors of every
     window occasion; summing it over u_t (axis 1) gives the normalizer.
     """
-    _check_compat(params, config)
     if t < 1:
         raise ValueError(f"occasion index must be >= 1, got {t}")
     if j < 0:
         raise ValueError(f"look-ahead count must be >= 0, got {j}")
     if not np.isfinite(y_t):
         raise ValueError(f"observation must be finite, got {y_t!r}")
+    F, P = _inputs([params], config, [y_t])
     k, h = config.k, config.h
-    F = emission_matrix([y_t], params.sigma)[None]
-    a = _numerator(F, _block_priors(_prior_stack(params)[None], t, j), k, h, np.empty((1, 1, k ** (h + 1 + j))))
+    a = _numerator(F, _block_priors(P, t, j), k, h, np.empty((1, 1, k ** (h + 1 + j))))
     shape = (k**h, k) + (k,) * j
     return _conditionals(a.copy(), k, h).reshape(shape), a.reshape(shape)
 
@@ -304,7 +314,7 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
     all positive runs _wave_peel; a block with a zero, or one that fails
     _wave_peel's check, runs through _peel one peel at a time, occasion
     after occasion, from those same staged conditionals, which raises or
-    clamps. So does k = 1, which has no column to add.
+    clamps.
     """
     T, S = F.shape[:2]
     Q = np.empty((T, S, k**h, k))
@@ -333,7 +343,7 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
                 conds = cond_buffer[: (n + j) * (off[-1] - off[j])].reshape(n + j, -1)
                 block = conds[j:]
                 _conditionals(_numerator(F[a - 1 : t], priors, k, h, block.reshape(n, S, -1)), k, h)
-                if not (k > 1 and block.min() > 0.0 and _wave_peel(heads, conds, Q, a, j, ratio)):
+                if not (block.min() > 0.0 and _wave_peel(heads, conds, Q, a, j, ratio)):
                     for s in range(t, a - 1, -1):
                         vals = block[s - a]
                         for f in range(j, 0, -1):
@@ -455,10 +465,8 @@ def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
     its own, so a start's slices are the same bits in any batch and any block
     size.
     """
-    _check_compat(params, config)
-    y_arr = as_array(y)
-    F = emission_matrix(y_arr, params.sigma)[:, None]
-    return _backward_pass(F, _prior_stack(params)[None], config.k, config.h)[:, 0]
+    F, P = _inputs([params], config, y)
+    return _backward_pass(F, P, config.k, config.h)[:, 0]
 
 
 def _chunk_starts(steps: np.ndarray, carried: np.ndarray) -> np.ndarray:
@@ -594,26 +602,6 @@ def local_decode(marginals) -> np.ndarray:
     return np.argmax(m, axis=1).astype(np.int64) + 1
 
 
-def _reference_loglik(F, P, slices, ref, k: int, h: int) -> float | None:
-    """Log-likelihood along one reference path, or None if it hits zero mass.
-
-    F and P are the start's (T, k) emission rows and padded prior stack.
-    """
-    T = F.shape[0]
-    s0 = np.asarray(ref, dtype=np.int64) - 1
-    occ = np.arange(T)
-    f_vals = F[occ, s0]
-    # padding the path with h leading zeros gives every occasion a full
-    # window index into the padded layout
-    padded = np.concatenate([np.zeros(h, dtype=np.int64), s0])
-    idx = sliding_window_view(padded, h + 1) @ (k ** np.arange(h, -1, -1))
-    p_vals = P[np.minimum(occ, h), idx]
-    q_vals = np.asarray(slices).reshape(T, -1)[occ, idx]
-    if np.any(q_vals <= 0.0) or np.any(p_vals <= 0.0) or np.any(f_vals <= 0.0):
-        return None
-    return float(np.log(f_vals).sum() + np.log(p_vals).sum() - np.log(q_vals).sum())
-
-
 def _joint_loglik(F, P, Q, J, k: int, h: int) -> np.ndarray:
     """(S,) log-likelihoods of S starts: the path identity averaged over the joints.
 
@@ -659,24 +647,28 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     state that another route still reaches, or an emission underflows: the
     reciprocal-sum peel then loses terms, a known limitation.
 
-    With a reference path, the identity runs along that path alone and
-    raises StructuralZeroError if the path hits a zero posterior.
+    With a reference path, the same formula runs on the path's point-mass
+    joint, so the identity runs along that path alone; it raises
+    StructuralZeroError if the path hits a zero emission, prior or posterior.
     """
-    _check_compat(params, config)
-    y_arr = as_array(y)
-    T = y_arr.size
-    slices = _posterior_array(slices, config, "slices", T)
-    F = emission_matrix(y_arr, params.sigma)
-    P = _prior_stack(params)
+    F, P = _inputs([params], config, y)
+    T = len(F)
+    Q = _posterior_array(slices, config, "slices", T)[:, None]
+    k, h = config.k, config.h
     if reference is None:
-        Q = slices[:, None]
-        J = _forward_joint_pass(Q, config.k, config.h)
-        return float(_joint_loglik(F[:, None], P[None], Q, J, config.k, config.h)[0])
-    ref = _state_path(reference, config.k, "reference states")
+        return float(_joint_loglik(F, P, Q, _forward_joint_pass(Q, k, h), k, h)[0])
+    ref = _state_path(reference, k, "reference states")
     if ref.size != T:
         raise ValueError(f"reference path has length {ref.size}, expected {T}")
-    ll = _reference_loglik(F, P, slices, ref, config.k, config.h)
-    if ll is None:
+    # padding the path with h leading zeros gives every occasion a full
+    # window index into the padded layout, as in the joints
+    padded = np.concatenate([np.zeros(h, dtype=np.int64), ref - 1])
+    windows = sliding_window_view(padded, h + 1) @ (k ** np.arange(h, -1, -1))
+    J = np.zeros(Q.shape)
+    J.reshape(T, -1)[np.arange(T), windows] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = float(_joint_loglik(F, P, Q, J, k, h)[0])
+    if not np.isfinite(ll):
         raise StructuralZeroError("reference path hits a zero posterior; supply another admissible path")
     return ll
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from hmmsv import ModelConfig, ParameterSet, emission_matrix
-from hmmsv.core import _prior_stack
-from hmmsv.recursion import _backward_pass
+from hmmsv import ModelConfig, ParameterSet
+from hmmsv.recursion import _backward_pass, _inputs
 
 
 def random_parameters(k, h, rng, diag_bias=0.0, sigma_range=(0.4, 4.0)):
@@ -38,8 +37,7 @@ def random_instance(seed, k=None, h=None, T=None, k_max=3, h_max=2, T_max=6):
 def batched_slices(group, config, y):
     """(T, S, k**h, k) slices of the parameter sets in group from one batched
     pass, time first like the engine; [:, i] is the set group[i]."""
-    F = np.stack([emission_matrix(y, p.sigma) for p in group], axis=1)
-    P = np.stack([_prior_stack(p) for p in group])
+    F, P = _inputs(group, config, y)
     return _backward_pass(F, P, config.k, config.h)
 
 

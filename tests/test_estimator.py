@@ -414,18 +414,17 @@ def test_fit_propagates_other_value_errors(monkeypatch, rng):
 
 
 def test_emission_matrix_built_once_per_start_per_e_step(monkeypatch, rng):
-    import hmmsv.estimator
+    import hmmsv.core
     import hmmsv.recursion
 
     calls = []
-    real = hmmsv.estimator.emission_matrix
+    real = hmmsv.core.emission_matrix
 
     def counting(y, sigma):
         calls.append(1)
         return real(y, sigma)
 
-    for module in (hmmsv.estimator, hmmsv.recursion):
-        monkeypatch.setattr(module, "emission_matrix", counting)
+    monkeypatch.setattr(hmmsv.recursion, "emission_matrix", counting)
     config = ModelConfig(k=2, h=1)
     y = rng.normal(0, 1.5, size=80)
     e_step([random_parameters(2, 1, rng) for _ in range(3)], config, y)

@@ -231,8 +231,8 @@ def test_lag_chain_reports_zero_mass():
 
 
 def test_oracles_survive_an_outlier_beyond_every_volatility():
-    # at 60 sigma every emission density underflows in linear space; both
-    # oracles work from log densities and agree
+    # at 60 sigma every emission density underflows in linear space; every
+    # oracle works from log densities and they agree
     config = ModelConfig(k=2, h=1)
     params = ParameterSet(
         early=(np.array([[0.5, 0.5]]),),
@@ -240,6 +240,11 @@ def test_oracles_survive_an_outlier_beyond_every_volatility():
         sigma=np.array([1.0, 1.2]),
     )
     y = np.array([0.3, -0.8, 60.0, 0.1, 1.2, -0.4])
-    exact = brute_force_joint(params, config, y).loglik
-    assert math.isfinite(exact)
-    assert lag_chain_loglik(params, config, y) == pytest.approx(exact, rel=1e-12)
+    exact = brute_force_joint(params, config, y)
+    assert exact.loglik == pytest.approx(-1258.15, abs=0.01)
+    assert lag_chain_loglik(params, config, y) == pytest.approx(exact.loglik, rel=1e-12)
+    tables = bw_backward(params, config, y)
+    assert tables.loglik == pytest.approx(exact.loglik, rel=1e-12)
+    marg, _ = bw_posteriors(tables)
+    for t in range(1, 7):
+        assert np.allclose(marg[t - 1], exact.window_posterior([t]), atol=1e-12)

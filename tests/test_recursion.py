@@ -1,5 +1,6 @@
 import contextlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -565,15 +566,16 @@ def test_engine_equals_reference_route_property(seed, k, h, T, zeros, block):
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
-def test_single_state_chains_peel_through_peel(h, monkeypatch):
-    # with k = 1 a peel has no column to add, so every block runs _peel
+def test_single_state_chains_take_the_wavefront(h, monkeypatch):
+    # with k = 1 a peel has no column to add: the reciprocal of the one
+    # ratio, the same bits as _peel
     monkeypatch.setattr(recursion, "_BLOCK", 16)
     verdicts = spy_wave_peel(monkeypatch)
     config = ModelConfig(k=1, h=h)
     y = np.linspace(-2.0, 2.0, 40)
     group = [single_state_params(h, sigma) for sigma in (0.5, 1.5, 3.0)]
     slices = batched_slices(group, config, y)
-    assert verdicts == []
+    assert verdicts and all(verdicts)
     assert np.array_equal(slices, np.ones_like(slices))
     for i, params in enumerate(group):
         assert np.array_equal(reference_slices(params, config, y, slices[:, i]), slices[:, i])
@@ -850,8 +852,20 @@ def test_loglik_rejects_inadmissible_reference():
     )
     y = np.array([0.4, -0.2, 1.1])
     slices = backward_pass(params, config, y)
-    with pytest.raises(StructuralZeroError):
-        log_likelihood(params, config, y, slices, reference=[1, 2, 2])
+    holed = slices.copy()
+    holed[1, 0, 0] = 0.0
+    outlier = ParameterSet(early=(np.array([[0.5, 0.5]]),), pi=params.pi, sigma=np.array([1.0, 1.2]))
+    cases = [
+        (params, y, slices, [1, 2, 2]),  # a zero transition
+        (params, y, holed, [1, 1, 1]),  # a zero slice entry
+        # every density at y = 60 underflows, whatever the slices
+        (outlier, np.array([0.4, 60.0, 1.1]), np.full((3, 2, 2), 0.5), [1, 1, 1]),
+    ]
+    for case_params, case_y, case_slices, path in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StructuralZeroError, match="reference path hits a zero posterior"):
+                log_likelihood(case_params, config, case_y, case_slices, reference=path)
     # the default all-ones path is admissible here
     ll = log_likelihood(params, config, y, slices)
     assert math.isfinite(ll)
