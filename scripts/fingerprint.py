@@ -15,6 +15,11 @@ zero-mass peel path runs too) and prints one digest for each family:
 - cli: a fixed command-line session through hmmsv.cli.main (every command,
   JSON and CSV, and one failing command): each command's arguments, exit
   code, stdout and stderr, then every file the session wrote
+- repair: backward_pass, and a batched e_step of that set between two
+  positive sets, on three inputs that reach the rerun on logs: the fitted
+  sets of two EM draws whose transitions underflow, where the linear peel
+  breaks its bound, and one outlier draw whose linear slices fail the joint
+  mass, where the rerun refuses an underflowing emission row
 
 Errors enter a digest by type and start, not by message, so rewording a
 message moves no digest. Equal digests from two commits
@@ -51,10 +56,11 @@ from hmmsv import (
     forward_joint_pass,
     lag_chain_loglik,
     log_likelihood,
+    simulate,
 )
 from hmmsv.cli import main as cli_main
 
-FAMILIES = ("slices", "joints", "loglik", "e_step", "fit", "cli")
+FAMILIES = ("slices", "joints", "loglik", "e_step", "fit", "cli", "repair")
 
 EM = ["--starts", "2", "--seed", "4", "--max-iter", "30"]
 CLI_SESSION = [
@@ -80,8 +86,9 @@ CLI_SESSION = [
 ]
 
 
-def random_set(k: int, h: int, rng, zeros: bool) -> ParameterSet:
-    """Random tables; with zeros, each row's smallest entry becomes exactly 0."""
+def random_set(k: int, h: int, rng, zeros: bool, sigma=(0.4, 4.0)) -> ParameterSet:
+    """Random tables; with zeros, each row's smallest entry becomes exactly 0.
+    The volatilities are drawn uniformly from the range sigma."""
 
     def table(rows: int) -> np.ndarray:
         out = rng.dirichlet(np.ones(k), size=rows)
@@ -91,7 +98,32 @@ def random_set(k: int, h: int, rng, zeros: bool) -> ParameterSet:
         return out
 
     early = tuple(table(k**i) for i in range(h))
-    return ParameterSet(early=early, pi=table(k**h), sigma=np.sort(rng.uniform(0.4, 4.0, size=k)))
+    return ParameterSet(early=early, pi=table(k**h), sigma=np.sort(rng.uniform(*sigma, size=k)))
+
+
+def repair_inputs() -> list:
+    """(config, params, y) for the repair family. Seeds 226 and 262 draw a k
+    <= 3, h <= 2 model and 60 observations from it; EM on those drives
+    transitions below 1e-130. Draw 68 of an outlier probe puts an
+    observation 36.5 to 38.6 times the largest sigma out."""
+    inputs = []
+    for seed in (226, 262):
+        rng = np.random.default_rng(seed)
+        k, h = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        config = ModelConfig(k=k, h=h)
+        _, series = simulate(config, random_set(k, h, rng, zeros=False), 60, seed=seed)
+        res = fit(config, series, EMSettings(n_starts=1, seed=2, max_iterations=40))
+        inputs.append((config, res.params, series.y))
+    rng = np.random.default_rng(0)
+    for _ in range(69):
+        h = int(rng.integers(1, 4))
+        T = int(rng.integers(h + 3, 11))
+        params = random_set(2, h, rng, zeros=False, sigma=(1.0, 1.05))
+        y = rng.normal(0, 1, T)
+        idx = rng.choice(T, rng.integers(1, 3), replace=False)
+        y[idx] = rng.uniform(36.5, 38.6, idx.size) * params.sigma.max() * rng.choice([-1, 1], idx.size)
+    inputs.append((ModelConfig(k=2, h=h), params, y))
+    return inputs
 
 
 def feed(digest, value) -> None:
@@ -173,6 +205,11 @@ def main() -> int:
             res = (p.sigma, p.pi, *p.early, res.trace, float(res.converged), float(res.start_index), res.loglik)
         feed(digests["fit"], res)
     cli_session(digests["cli"])
+    for config, params, y in repair_inputs():
+        rng = np.random.default_rng([config.k, config.h, 2718])
+        wide = [random_set(config.k, config.h, rng, zeros=False, sigma=(1.0, 40.0)) for _ in range(2)]
+        feed(digests["repair"], attempt(lambda: backward_pass(params, config, y)))
+        feed(digests["repair"], attempt(lambda: e_step([wide[0], params, wide[1]], config, y)))
     print(f"numpy {np.__version__}, {args.draws} draws")
     for name in FAMILIES:
         print(f"{name:7s} {digests[name].hexdigest()}")

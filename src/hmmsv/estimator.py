@@ -74,12 +74,11 @@ def e_step(params, config: ModelConfig, y):
     forward_joint_pass, so joints[t-1, :k**(t-1)] is the joint of
     (u_1, ..., u_t) for t <= h, and state_marginals(joints) gives the
     smoothed state probabilities. ll is log_likelihood's default: the path
-    identity averaged over those joints. A start whose peel fails its bound
-    check, or whose joint at some occasion does not sum to one, runs the
-    backward pass again on logs, where transition products below the
-    smallest float keep their ratios. If that fails too, typically at an
-    exact-zero transition, StructuralZeroError names the occasion, as in
-    forward_joint_pass.
+    identity averaged over those joints. As in backward_pass, a start whose
+    peel fails its bound check reruns on logs; here a start whose joint at
+    some occasion does not sum to one does too. If that fails as well,
+    typically at an exact-zero transition, StructuralZeroError names the
+    occasion, as in forward_joint_pass.
 
     params may also be a non-empty sequence of S parameter sets. They run
     through one batched pass whose arrays are time first; joints comes back
@@ -224,11 +223,7 @@ def _run_em(starts: list[ParameterSet], config: ModelConfig, y_arr, settings: EM
                     converged = False
                 outcomes[s] = (params[s], lls_s, converged)
                 continue
-            try:
-                params[s] = m_step(joints[i], y_arr, config, prev=params[s])
-            except EstimationError as exc:
-                outcomes[s] = exc
-                continue
+            params[s] = m_step(joints[i], y_arr, config, prev=params[s])
             remaining.append(s)
         active = remaining
     return outcomes

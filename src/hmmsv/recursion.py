@@ -3,8 +3,8 @@
 The engine manipulates conditional posteriors of each latent state given the
 neighboring window states and the complete data. Every stored quantity is a
 conditional probability in [0, 1], so the pass stays numerically healthy at
-any series length without rescaling; logs enter only when the total
-log-likelihood is assembled.
+any series length without rescaling; logs enter to assemble the
+log-likelihood, and to rerun a start whose peel breaks its bound.
 
 Array layout: the passes return (T, k**h, k) arrays whose block t-1 has the
 layout of ParameterSet.pi, rows indexed by the lags (u_{t-h}, ..., u_{t-1})
@@ -130,25 +130,25 @@ def _posterior_array(arr, config: ModelConfig, name: str, T: int | None = None) 
     return arr
 
 
-def _bound_error(over: np.ndarray) -> StructuralZeroError:
-    """The error for the first start flagged in over."""
+def _bound_error() -> StructuralZeroError:
+    """The error of a peel that breaks its bound; _relog names the start."""
     return StructuralZeroError(
         "peel produced entries outside [0, 1]; window inputs are inconsistent, "
-        "typically because a transition or emission underflowed",
-        start=int(np.argmax(over)),
+        "typically because a transition or emission underflowed"
     )
 
 
-def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
+def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Reciprocal-sum step removing the last future state from a window.
 
     q_inner holds the window conditionals of S starts one after another,
     flat, and q_next their (S, 1, m) target slices of the occasion being
-    removed; the result is flat in the same way. Zero-mass numerators add
-    nothing to the reciprocal sum. A start whose window is positive gets
-    1 / sum(q_next / q_inner) exactly, checked against one: a failed check
-    raises StructuralZeroError naming the start. The other starts are
-    clamped, so no start's bits depend on the batch.
+    removed; returns the result, flat in the same way, and the (S,) bound
+    check's verdict. Zero-mass numerators add nothing to the reciprocal sum.
+    A start whose window is positive gets 1 / sum(q_next / q_inner) exactly,
+    and is flagged if that exceeds one by more than _ENTRY_TOL: its values
+    are then meaningless. The other starts are clamped and never flagged, so
+    no start's bits depend on the batch.
 
     Callers ignore floating-point over, divide and invalid warnings: a ratio
     may overflow when the divisor is subnormal, and the infinite reciprocal
@@ -165,14 +165,12 @@ def _peel(q_inner: np.ndarray, q_next: np.ndarray, k: int) -> np.ndarray:
     out = (1.0 / sum(cols[1:], cols[0])).reshape(S, -1)
     positive = q_inner.reshape(S, -1).min(axis=1) > 0.0
     over = positive & (out.max(axis=1) > 1.0 + _ENTRY_TOL)
-    if over.any():
-        raise _bound_error(over)
     # values are exact wherever the conditioning configuration is reachable;
     # a zero-probability configuration has no defined conditional, so its
     # entries are only kept as bounded placeholders that never receive
     # posterior mass downstream
     clamped = np.minimum(np.where(np.isfinite(out), out, 0.0), 1.0)
-    return np.where(positive[:, None], out, clamped).reshape(-1)
+    return np.where(positive[:, None], out, clamped).reshape(-1), over
 
 
 def _slot_offsets(S: int, m: int, k: int, j: int) -> list:
@@ -207,7 +205,7 @@ def _wave_peel(heads: np.ndarray, conds: np.ndarray, Q: np.ndarray, a: int, j: i
     One check after the block covers every level. Returns whether the block
     got _peel's bits: every intermediate output positive, so _peel would
     take the same formula at the next level, and every output at most 1 +
-    _ENTRY_TOL, not NaN, so no check of _peel would fire. Then Q gets the
+    _ENTRY_TOL, not NaN, so _peel would flag no start. Then Q gets the
     block's slices. If not, Q is left alone and the caller runs the block
     through _peel from conds, which no step writes.
     """
@@ -284,7 +282,8 @@ def peel(q_inner: np.ndarray, q_next: np.ndarray) -> np.ndarray:
     q_inner is the conditional at occasion t with j >= 1 trailing future
     axes, as windowed_full_conditional returns it; q_next is the (k**h, k)
     target slice of occasion t + j. The reciprocal-sum identity yields the
-    conditional at t with j - 1 future axes.
+    conditional at t with j - 1 future axes. A positive window whose result
+    exceeds one raises StructuralZeroError: its inputs are inconsistent.
     """
     q_inner, q_next = np.asarray(q_inner, dtype=float), np.asarray(q_next, dtype=float)
     if q_next.ndim != 2:
@@ -297,7 +296,9 @@ def peel(q_inner: np.ndarray, q_next: np.ndarray) -> np.ndarray:
     if any(n != k for n in q_inner.shape[2:]):
         raise ValueError(f"every future axis of q_inner must have size {k}, got shape {q_inner.shape}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = _peel(q_inner.reshape(-1), q_next.reshape(1, 1, -1), k)
+        vals, over = _peel(q_inner.reshape(-1), q_next.reshape(1, 1, -1), k)
+    if over.any():
+        raise _bound_error()
     return vals.reshape(q_inner.shape[:-1])
 
 
@@ -313,8 +314,9 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
     builds straight into Q. A block whose conditionals are
     all positive runs _wave_peel; a block with a zero, or one that fails
     _wave_peel's check, runs through _peel one peel at a time, occasion
-    after occasion, from those same staged conditionals, which raises or
-    clamps.
+    after occasion, from those same staged conditionals, which clamps or
+    flags. After the loop each start that _peel flagged gets the slices of
+    its own pass on logs (_relog), which raises if it fails too.
     """
     T, S = F.shape[:2]
     Q = np.empty((T, S, k**h, k))
@@ -328,6 +330,7 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
     widths = _slot_offsets(S, k**h, k, h)
     head_buffer, cond_buffer = np.empty(rows * widths[h]), np.empty(rows * (widths[-1] - widths[h]))
     ratio = np.empty(widths[-1] - widths[1])
+    failed = np.zeros(S, dtype=bool)
     t = T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while t >= 1:
@@ -347,9 +350,12 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
                     for s in range(t, a - 1, -1):
                         vals = block[s - a]
                         for f in range(j, 0, -1):
-                            vals = _peel(vals, divisors[s + f - 1], k)
+                            vals, over = _peel(vals, divisors[s + f - 1], k)
+                            failed |= over
                         flat[s - 1] = vals
             t = a - 1
+    for i in np.flatnonzero(failed):
+        Q[:, i] = _relog(F, P, int(i), k, h)
     return Q
 
 
@@ -375,7 +381,7 @@ def _log_peel(l_inner: np.ndarray, l_next: np.ndarray, k: int) -> np.ndarray:
     out = -_logsumexp(ratio.reshape(-1, k))
     if np.isfinite(l_inner).all():
         if not out.max() <= _ENTRY_TOL:
-            raise _bound_error(np.array([True]))
+            raise _bound_error()
         return out
     return np.minimum(np.where(out == np.inf, -np.inf, out), 0.0)
 
@@ -388,9 +394,17 @@ def _log_backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarr
     occasion at a time: products of small transitions that leave the float
     range, and that the linear pass reads as zeros, keep their ratios. Only
     the slices are exponentiated. A structural zero still drops terms of the
-    peel, as in the linear pass.
+    peel, as in the linear pass. An emission row whose largest density is
+    below 2**-969 raises StructuralZeroError naming its occasion: its logs
+    would be those of rounded subnormals or of zero.
     """
     T = len(F)
+    low = F.max(axis=1) < 2.0**-969
+    if low.any():
+        raise StructuralZeroError(
+            f"every emission density at t={int(np.argmax(low)) + 1} is below 2**-969, "
+            "too small to rerun the backward pass on logs"
+        )
     L = np.empty((T, k ** (h + 1)))
     with np.errstate(divide="ignore", invalid="ignore"):
         logF, logP = np.log(F)[:, None], np.log(P)[None]
@@ -407,45 +421,31 @@ def _log_backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarr
     return np.exp(L).reshape(T, k**h, k)
 
 
+def _relog(F: np.ndarray, P: np.ndarray, i: int, k: int, h: int) -> np.ndarray:
+    """_log_backward_pass of start i of (F, P); its errors name start i."""
+    try:
+        return _log_backward_pass(F[:, i], P[i], k, h)
+    except StructuralZeroError as exc:
+        exc.start = i
+        raise
+
+
 def _posterior_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     """(T, S, k**h, k) slices and joints of S starts from their (T, S, k)
-    emission rows and (S, h+1, k**(h+1)) prior stacks.
-
-    Every start runs _backward_pass. A start whose slices fail the peel's
-    bound or the joint mass of _forward_joint_pass runs again through
-    _log_backward_pass; if those fail too, the StructuralZeroError names the
-    start. The other starts keep their bits, as in any batch.
+    emission rows and (S, h+1, k**(h+1)) prior stacks: _backward_pass, then
+    _forward_joint_pass. A start whose joint mass fails reruns through
+    _relog; if it fails again, the StructuralZeroError names the start. The
+    other starts keep their bits, as in any batch.
     """
-    T, S = F.shape[:2]
-    linear, logged = list(range(S)), {}
-
-    def relog(i: int) -> np.ndarray:
-        try:
-            logged[i] = _log_backward_pass(F[:, i], P[i], k, h)
-        except StructuralZeroError as exc:
-            exc.start = i
-            raise
-        return logged[i]
-
-    Q = None
-    while Q is None and linear:
-        try:
-            Q = _backward_pass(F[:, linear], P[linear], k, h)
-        except StructuralZeroError as exc:
-            relog(linear.pop(exc.start))
-    if logged:
-        rest, Q = Q, np.empty((T, S, k**h, k))
-        if linear:
-            Q[:, linear] = rest
-        for i, q in logged.items():
-            Q[:, i] = q
+    Q, logged = _backward_pass(F, P, k, h), set()
     while True:
         try:
             return Q, _forward_joint_pass(Q, k, h)
         except StructuralZeroError as exc:
             if exc.start in logged:
                 raise
-            Q[:, exc.start] = relog(exc.start)
+            logged.add(exc.start)
+            Q[:, exc.start] = _relog(F, P, exc.start, k, h)
 
 
 def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
@@ -458,12 +458,14 @@ def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
     transitions, so their conditionals build in blocks, highest occasions
     first; the boundary occasions build one at a time. All stored values are
     bounded conditional probabilities, so no rescaling is applied anywhere.
+    If a peel breaks its bound, typically where products of small
+    transitions leave the float range, the whole pass reruns on logs, where
+    they keep their ratios; StructuralZeroError if that fails too.
 
     The engine carries a leading axis of S parameter sets that share the
     series, and this is its S = 1 case; e_step runs several EM starts through
-    it at once. Every start chooses its own peel path and every row builds on
-    its own, so a start's slices are the same bits in any batch and any block
-    size.
+    it at once. Every start chooses its own route, so its slices are the same
+    bits in any batch and any block size.
     """
     F, P = _inputs([params], config, y)
     return _backward_pass(F, P, config.k, config.h)[:, 0]
@@ -643,9 +645,10 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     forward_joint_pass, so no path has to be chosen and windows without
     mass add nothing. The average is exact when every joint sums to one, and
     forward_joint_pass raises StructuralZeroError naming the occasion where
-    one does not. That happens when an exact-zero transition excludes a
-    state that another route still reaches, or an emission underflows: the
-    reciprocal-sum peel then loses terms, a known limitation.
+    one does not: the peel lost terms, at an exact-zero transition that
+    excludes a state another route still reaches, or at an underflow that
+    broke no bound. e_step reruns such a start on logs; this function
+    takes the slices as given.
 
     With a reference path, the same formula runs on the path's point-mass
     joint, so the identity runs along that path alone; it raises

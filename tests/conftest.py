@@ -34,6 +34,21 @@ def random_instance(seed, k=None, h=None, T=None, k_max=3, h_max=2, T_max=6):
     return config, params, y
 
 
+def outlier_probe(trial):
+    """Draw number trial (0-based) of a fixed k = 2 outlier probe: one or two
+    observations 36.5 to 38.6 times the largest sigma out, where an emission
+    density falls below the smallest normal float. Returns (config, params, y)."""
+    rng = np.random.default_rng(0)
+    for _ in range(trial + 1):
+        h = int(rng.integers(1, 4))
+        T = int(rng.integers(h + 3, 11))
+        params = random_parameters(2, h, rng, sigma_range=(1.0, 1.05))
+        y = rng.normal(0, 1, T)
+        idx = rng.choice(T, rng.integers(1, 3), replace=False)
+        y[idx] = rng.uniform(36.5, 38.6, idx.size) * params.sigma.max() * rng.choice([-1, 1], idx.size)
+    return ModelConfig(k=2, h=h), params, y
+
+
 def batched_slices(group, config, y):
     """(T, S, k**h, k) slices of the parameter sets in group from one batched
     pass, time first like the engine; [:, i] is the set group[i]."""

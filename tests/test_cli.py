@@ -80,6 +80,8 @@ def test_ingest_rejects_column_index_out_of_range(tmp_path, capsys):
     assert main(["fit", "--input", path, "--column", "5", "--h", "1", "--k", "2"]) == 1
     err = capsys.readouterr().err
     assert "column index 5" in err and "line" not in err
+    assert main(["fit", "--input", path, "--column", "-1", "--h", "1", "--k", "2"]) == 1
+    assert capsys.readouterr().err == "error: cli: column index must be non-negative, got -1\n"
 
 
 def test_ingest_rejects_non_finite_cells_with_lines(tmp_path, capsys):
@@ -99,6 +101,9 @@ def test_ingest_missing_and_empty(tmp_path):
     path = write(tmp_path / "empty.csv", "\n\n")
     with pytest.raises(CLIError):
         ingest(path)
+    header_only = write(tmp_path / "header.csv", "date,close\n")
+    with pytest.raises(CLIError, match="empty series: no data rows in"):
+        ingest(header_only, column="close")
 
 
 def test_ingest_rejects_nonpositive_prices(tmp_path):
@@ -142,6 +147,10 @@ def test_fit_decode_predict_roundtrip(tmp_path, sim_csv, capsys):
     assert main(["decode", "--params", fit_out, "--input", sim_csv, "--out", dec1]) == 0
     assert main(["decode", "--params", fit_out, "--input", sim_csv, "--out", dec2]) == 0
     assert open(dec1, "rb").read() == open(dec2, "rb").read()
+    # without --out the same JSON goes to stdout
+    capsys.readouterr()
+    assert main(["decode", "--params", fit_out, "--input", sim_csv]) == 0
+    assert capsys.readouterr().out == open(dec1).read()
     decoded = json.loads(open(dec1).read())
     assert len(decoded["states"]) == 300
     assert set(decoded["states"]) <= {1, 2}

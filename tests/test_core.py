@@ -133,6 +133,10 @@ def test_validate_reports_negative_entry_and_shape():
     wrong_shape = make_params([], [[0.5, 0.5]], [1.0, 2.0])
     problems = validate(wrong_shape, ModelConfig(k=2, h=1))
     assert problems
+    three_sigmas = make_params([[[0.5, 0.5]]], [[0.5, 0.5], [0.5, 0.5]], [1.0, 2.0, 3.0])
+    assert validate(three_sigmas, ModelConfig(k=2, h=1)) == ["sigma has shape (3,), expected (2,)"]
+    nan_pi = make_params([[[0.5, 0.5]]], [[0.5, np.nan], [0.5, 0.5]], [1.0, 2.0])
+    assert validate(nan_pi, ModelConfig(k=2, h=1)) == ["homogeneous transitions contain non-finite entries"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hmmsv import (
     DegenerateStateWarning,
     EMSettings,
     EstimationError,
+    InvalidParameterError,
     ModelConfig,
     ParameterSet,
     StructuralZeroError,
@@ -19,6 +20,7 @@ from hmmsv import (
     bw_posteriors,
     e_step,
     fit,
+    forward_joint_pass,
     grid_search,
     lag_chain_loglik,
     log_likelihood,
@@ -27,7 +29,10 @@ from hmmsv import (
     simulate,
     state_marginals,
 )
+from hmmsv import recursion
+from hmmsv.cli import _json_text, main, params_payload
 from hmmsv.estimator import _initial_parameters, _run_em
+from hmmsv.recursion import _inputs, _log_backward_pass
 
 from conftest import batched_slices, random_instance, random_parameters
 
@@ -92,6 +97,12 @@ def test_e_step_needs_a_parameter_set(rng):
     config = ModelConfig(k=2, h=1)
     with pytest.raises(ValueError, match="at least one parameter set"):
         e_step([], config, rng.normal(size=5))
+    # every set must be of the model's (k, h)
+    other = random_parameters(3, 1, rng)
+    with pytest.raises(InvalidParameterError, match=r"is for \(k=3, h=1\), model expects \(k=2, h=1\)"):
+        e_step([random_parameters(2, 1, rng), other], config, rng.normal(size=5))
+    with pytest.raises(InvalidParameterError, match=r"is for \(k=3, h=1\)"):
+        backward_pass(other, config, rng.normal(size=5))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +210,17 @@ def test_fit_single_state_closed_form(rng):
     assert res.bic == pytest.approx(-2 * res.loglik + math.log(64), rel=1e-12)
 
 
+def test_fit_on_a_series_without_spread():
+    # np.std is 0, so the random starts take their scale from the largest |y|
+    config = ModelConfig(k=2, h=0)
+    y = np.full(30, -2.5)
+    sigma = _initial_parameters(config, y, np.random.default_rng(3), quantile_start=False).sigma
+    draw = np.random.default_rng(3).uniform(np.log(0.25), np.log(4.0), size=2)
+    assert np.array_equal(sigma, np.sort(2.5 * np.exp(draw)))
+    res = fit(config, y, EMSettings(n_starts=2, max_iterations=50))
+    assert np.allclose(res.params.sigma, 2.5) and math.isfinite(res.loglik)
+
+
 def test_fit_monotone_trace_and_sorted_sigma(rng):
     config = ModelConfig(k=2, h=1)
     truth = ParameterSet(
@@ -244,16 +266,55 @@ def test_fit_em_trace_is_monotone(seed):
     assert np.all(np.diff(res.trace) >= -1e-9)
 
 
+def underflow_fit(seed):
+    """A draw of test_fit_em_trace_is_monotone: (config, series, its fit)."""
+    config, params, _ = random_instance(seed, T=1)
+    _, series = simulate(config, params, 60, seed=seed % 1000)
+    return config, series, fit(config, series, EMSettings(n_starts=1, seed=2, max_iterations=40))
+
+
 @pytest.mark.parametrize("seed", [15, 197, 226, 262, 336, 599, 891])
 def test_fit_em_trace_underflow_draws(seed):
     # draws of test_fit_em_trace_is_monotone whose EM drives transitions
     # toward 1e-156 and below: the linear peel read products of them as
     # zeros and dropped terms, so every start failed
-    config, params, _ = random_instance(seed, T=1)
-    _, series = simulate(config, params, 60, seed=seed % 1000)
-    res = fit(config, series, EMSettings(n_starts=1, seed=2, max_iterations=40))
+    config, series, res = underflow_fit(seed)
     assert np.all(np.diff(res.trace) >= -1e-9)
     assert res.loglik == pytest.approx(lag_chain_loglik(res.params, config, series), rel=1e-8)
+
+
+def test_bound_failure_costs_no_second_backward_pass(monkeypatch):
+    # the fitted set of seed 226 breaks the linear peel's bound; the backward
+    # pass reruns that start on logs itself, so the batch runs once
+    config, series, res = underflow_fit(226)
+    other = random_parameters(config.k, config.h, np.random.default_rng(1))
+    batches = []
+    backward = recursion._backward_pass
+    monkeypatch.setattr(recursion, "_backward_pass", lambda F, *rest: batches.append(F.shape[1]) or backward(F, *rest))
+    joints, lls = e_step([other, res.params], config, series)
+    assert batches == [2]
+    for i, params in enumerate([other, res.params]):
+        alone = e_step(params, config, series)
+        assert np.array_equal(joints[i], alone[0]) and lls[i] == alone[1]
+
+
+@pytest.mark.parametrize("seed", [226, 262])
+def test_public_passes_repair_the_peel_bound(seed, tmp_path, capsys):
+    # backward_pass reruns the fitted set on logs, as e_step does, so the
+    # public chain, decode and predict take it too
+    config, series, res = underflow_fit(seed)
+    slices = backward_pass(res.params, config, series)
+    F, P = _inputs([res.params], config, series)
+    assert np.array_equal(slices, _log_backward_pass(F[:, 0], P[0], config.k, config.h))
+    joints, ll = e_step(res.params, config, series)
+    assert np.array_equal(forward_joint_pass(slices, config), joints)
+    assert log_likelihood(res.params, config, series, slices) == ll
+    params_file, data = tmp_path / "params.json", tmp_path / "y.csv"
+    params_file.write_text(_json_text(params_payload(config, res.params)))
+    data.write_text("".join(f"{v:.17g}\n" for v in series.y))
+    for command in ("decode", "predict"):
+        assert main([command, "--params", str(params_file), "--input", str(data)]) == 0
+    capsys.readouterr()
 
 
 def test_m_step_keeps_the_support_of_prev():
@@ -379,7 +440,7 @@ def test_fit_drops_a_start_that_breaks_the_peel_bound(monkeypatch):
     import hmmsv.recursion
 
     def log_pass_out_of_bounds(F, P, k, h):
-        raise hmmsv.recursion._bound_error(np.array([True]))
+        raise hmmsv.recursion._bound_error()
 
     monkeypatch.setattr(hmmsv.recursion, "_log_backward_pass", log_pass_out_of_bounds)
     res = fit(config, y, EMSettings(n_starts=2, max_iterations=60))
