@@ -6,8 +6,10 @@ private batched passes, _backward_pass and _forward_joint_pass, at S = 1
 and S = 4 parameter sets sharing the series, plus oracle.bw_backward, the
 scaled forward-backward smoother, as the yardstick where it applies
 (h = 1). The build column times the backward pass's interior conditional
-build alone, block by block as the pass runs it, per interior occasion, so
-that the build and the peel loop (backward less build) show separately.
+build alone, in the blocks the pass builds (recursion._block_span
+occasions, about recursion._STAGE_FLOATS floats each), per interior
+occasion, so that the build and the peel loop (backward less build) show
+separately.
 Emission rows and prior stacks are built outside the timed region.
 The forward pass runs in chunks at (2, 1) and (3, 1) only: (2, 3), at
 k**(2h+1) = 128 per start, is the cheapest grid point past the chunk bound
@@ -42,9 +44,10 @@ def random_set(k: int, h: int, rng) -> ParameterSet:
 
 def interior_build(F, P, k: int, h: int) -> None:
     """The conditionals of occasions h + 1, ..., T - h, built in blocks of
-    the backward pass's size into one reused array, as the pass builds them."""
+    recursion._block_span occasions into one reused array, as the pass
+    builds them."""
     T, S = F.shape[:2]
-    span = max(1, recursion._BLOCK // S)
+    span = recursion._block_span(S, k, h)
     priors = _block_priors(P, h + 1, h)
     out = np.empty((min(span, T - 2 * h), S, k ** (2 * h + 1)))
     for a in range(h + 1, T - h + 1, span):

@@ -235,10 +235,10 @@ def fit(config: ModelConfig, y, settings: EMSettings | None = None) -> FitResult
     The first start pins volatilities to quantile bands of |y| and biases
     transition rows toward persistence; remaining starts are random. All
     starts run EM in lockstep through one batched E-step per iteration (see
-    _run_em), whose backward pass stages at most about 4096 * k**(2h+1)
-    floats of conditionals however many starts share it, plus under
+    _run_em), whose backward pass stages blocks of about 2**17 floats of
+    conditionals whatever T and the number of starts, plus under
     1 / (k - 1) of that for its wavefront and 1 / k while it builds: a
-    one-start fit at k = 3, h = 3, T = 2,500 peaks at 84 MiB traced by
+    one-start fit at k = 3, h = 3, T = 2,500 peaks at 7.5 MiB traced by
     tracemalloc. A start that fails
     drops out; the first start with the highest final log-likelihood wins.
     States in the returned parameters are relabeled so volatilities ascend.

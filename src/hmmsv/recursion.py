@@ -32,11 +32,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import ModelConfig, ParameterSet, _check_compat, _prior_stack, _state_path, as_array, emission_matrix
 
 _ENTRY_TOL = 1e-10
-# interior occasions per conditional build: the backward pass stages
-# _BLOCK * k**(2h+1) floats of conditionals, plus wavefront heads of under
-# 1 / (k - 1) of that and build transients of 1 / k of it; a grid-orders op,
-# whose k = 3, h = 3 cell stages 2,494 occasions, peaks at 83 MiB traced
-_BLOCK = 4096
+# floats of conditionals the backward pass stages per block (1 MiB), so a
+# block is built and peeled while it is still in cache; wavefront heads add
+# under 1 / (k - 1) of that and build transients 1 / k. 2**16 and 2**18
+# timed alike (2-CPU host)
+_STAGE_FLOATS = 2**17
 # largest k**(2h+1), a chunk product's cost per start and occasion, at which
 # the forward joint pass runs in chunks: with fit's ten starts they beat the
 # loop up to 64 and lost at 128 (2-CPU host). S stays out of the rule, so a
@@ -91,7 +91,10 @@ def _conditionals(a: np.ndarray, k: int, h: int) -> np.ndarray:
     """
     n, S = a.shape[:2]
     a4 = a.reshape(n, S, k**h, k, -1)
-    c = a4.sum(axis=3, keepdims=True)
+    # left to right for every k, as in _peel; numpy's sum pairs from k = 8
+    c = a4[:, :, :, :1].copy()
+    for u in range(1, k):
+        c += a4[:, :, :, u : u + 1]
     if c.min() > 0:
         np.divide(a4, c, out=a4)
     else:
@@ -225,13 +228,14 @@ def _wave_peel(heads: np.ndarray, conds: np.ndarray, Q: np.ndarray, a: int, j: i
         outs = heads[:, off[lo - 1] : off[hi]]
         for r in rows:
             divisor = divisors[r]
+            # out passed positionally: ufuncs parse keywords at a cost per call
             for inner, rat in levels:
-                np.divide(divisor, inner[r], out=rat)
+                np.divide(divisor, inner[r], rat)
             out, total = outs[r - 1], first
             for col in rest:
-                np.add(total, col, out=out)
+                np.add(total, col, out)
                 total = out
-            np.reciprocal(total, out=out)
+            np.reciprocal(total, out)
 
     # row r runs level f of occasion a + r - f for every f whose occasion
     # lies in the block: the fill steps, the full steps, the drain steps
@@ -302,29 +306,35 @@ def peel(q_inner: np.ndarray, q_next: np.ndarray) -> np.ndarray:
     return vals.reshape(q_inner.shape[:-1])
 
 
+def _block_span(S: int, k: int, h: int) -> int:
+    """Interior occasions per block of _backward_pass for S starts."""
+    return max(1, _STAGE_FLOATS // (S * k ** (2 * h + 1)))
+
+
 def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
     """(T, S, k**h, k) target slices of S starts, [:, i] for start i, from
     their (T, S, k) emission rows and (S, h+1, k**(h+1)) prior stacks; see
     backward_pass. Time first, each occasion is one index away and its rows
     of every start lie flat, side by side.
 
-    Each block with future states builds its conditionals straight into
-    the last slot of staging rows allocated once per pass, in two buffers
-    (see _wave_peel); the final occasion, and every occasion when h = 0,
-    builds straight into Q. A block whose conditionals are
-    all positive runs _wave_peel; a block with a zero, or one that fails
-    _wave_peel's check, runs through _peel one peel at a time, occasion
-    after occasion, from those same staged conditionals, which clamps or
-    flags. After the loop each start that _peel flagged gets the slices of
-    its own pass on logs (_relog), which raises if it fails too.
+    Interior blocks hold _block_span occasions, about _STAGE_FLOATS floats
+    of conditionals whatever T and S are. Each block with future states
+    builds its conditionals straight into the last slot of staging rows
+    allocated once per pass, in two buffers (see _wave_peel); the final
+    occasion, and every occasion when h = 0, builds straight into Q. A
+    block whose conditionals are all positive runs _wave_peel; a block with
+    a zero, or one that fails _wave_peel's check, runs through _peel one
+    peel at a time, occasion after occasion, from those same staged
+    conditionals, which clamps or flags. After the loop each start that
+    _peel flagged gets the slices of its own pass on logs (_relog), which
+    raises if it fails too.
     """
     T, S = F.shape[:2]
     Q = np.empty((T, S, k**h, k))
     flat = Q.reshape(T, -1)
     divisors = Q.reshape(T, S, 1, -1)
     lo, hi = h + 1, T - h
-    # the staged conditionals stay at _BLOCK * k**(2h+1) floats whatever S is
-    span = max(1, _BLOCK // S)
+    span = _block_span(S, k, h)
     # staging for the widest block, every block's rows are views into it
     rows = min(span, max(1, hi - lo + 1)) + h
     widths = _slot_offsets(S, k**h, k, h)

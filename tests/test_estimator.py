@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,6 +495,22 @@ def test_emission_matrix_built_once_per_start_per_e_step(monkeypatch, rng):
     # no start converges in 4 M-steps at this tolerance, so each runs 5 E-steps
     fit(config, y, EMSettings(n_starts=3, max_iterations=4, rel_tolerance=1e-15))
     assert len(calls) == 3 * 5
+
+
+@pytest.mark.parametrize(("n_starts", "limit_mib"), [(1, 16), (10, 78)])
+def test_fit_staging_memory_is_bounded(n_starts, limit_mib):
+    # the backward pass stages blocks of about recursion._STAGE_FLOATS
+    # floats whatever T and the number of starts are. Ten starts add four
+    # arrays of the slices' size, 15.45 MiB each: the slices, the joints,
+    # the likelihood's log copy and the last E-step's joints
+    y = np.random.default_rng(7).normal(0.0, 1.5, size=2500)
+    tracemalloc.start()
+    try:
+        fit(ModelConfig(k=3, h=3), y, EMSettings(n_starts=n_starts, max_iterations=2, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
 
 
 def test_fit_validates_settings():

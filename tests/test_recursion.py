@@ -486,18 +486,25 @@ def test_batch_mixes_zero_mass_and_positive_starts(rng):
     assert info.value.start == 1
 
 
+def set_block(mp, block, k, h):
+    """Set the backward pass's staging budget so that S starts of order (k,
+    h) get blocks of max(1, block // S) interior occasions."""
+    mp.setattr(recursion, "_STAGE_FLOATS", block * k ** (2 * h + 1))
+
+
 def test_batch_crosses_block_boundaries(rng, monkeypatch):
     config = ModelConfig(k=2, h=1)
     group = [random_parameters(2, 1, rng) for _ in range(4)]
-    y = rng.normal(0, 1.5, size=recursion._BLOCK // 4 + 100)
+    set_block(monkeypatch, 4096, 2, 1)
+    y = rng.normal(0, 1.5, size=recursion._block_span(4, 2, 1) + 100)
     assert_batch_matches_alone(group, config, y)
     # small blocks: the rows build independently, so block size leaves the
     # bits alone for a single start as well as for a batch
     config, params, y = random_instance(71, k=3, h=2, T=50)
     group = [params, random_parameters(3, 2, rng), random_parameters(3, 2, rng)]
     alone = [backward_pass(p, config, y) for p in group]
-    monkeypatch.setattr(recursion, "_BLOCK", 16)
-    assert y.size > recursion._BLOCK // len(group)
+    set_block(monkeypatch, 16, 3, 2)
+    assert y.size > recursion._block_span(len(group), 3, 2)
     assert np.array_equal(backward_pass(params, config, y), alone[0])
     slices = batched_slices(group, config, y)
     for i, want in enumerate(alone):
@@ -603,18 +610,20 @@ def spy_peel_flags(monkeypatch):
     h=st.integers(0, 3),
     T=st.integers(1, 40),
     zeros=st.lists(st.booleans(), min_size=1, max_size=3),
-    block=st.sampled_from([16, recursion._BLOCK]),
+    block=st.sampled_from([16, 4096, None]),
 )
 @settings(deadline=None, max_examples=40)
 def test_engine_equals_reference_route_property(seed, k, h, T, zeros, block):
     # positive blocks take the wavefront, blocks with a zero-mass start run
-    # through _peel; both keep the reference route's bits, alone and batched
+    # through _peel; both keep the reference route's bits, alone and batched.
+    # block None keeps the default staging budget
     rng = np.random.default_rng(seed)
     config = ModelConfig(k=k, h=h)
     group = [with_zeros(random_parameters(k, h, rng)) if z and k > 1 else random_parameters(k, h, rng) for z in zeros]
     y = rng.normal(0.0, 2.0, size=T)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recursion, "_BLOCK", block)
+        if block is not None:
+            set_block(mp, block, k, h)
         slices = batched_slices(group, config, y)
         alone = backward_pass(group[0], config, y)
     assert np.array_equal(alone, slices[:, 0])
@@ -626,7 +635,7 @@ def test_engine_equals_reference_route_property(seed, k, h, T, zeros, block):
 def test_single_state_chains_take_the_wavefront(h, monkeypatch):
     # with k = 1 a peel has no column to add: the reciprocal of the one
     # ratio, the same bits as _peel
-    monkeypatch.setattr(recursion, "_BLOCK", 16)
+    set_block(monkeypatch, 16, 1, h)
     verdicts = spy_wave_peel(monkeypatch)
     config = ModelConfig(k=1, h=h)
     y = np.linspace(-2.0, 2.0, 40)
@@ -666,6 +675,30 @@ def test_wide_chains_sum_in_one_order():
     config, params, y = random_instance(9, k=9, h=1, T=8)
     slices = backward_pass(params, config, y)
     assert np.array_equal(reference_slices(params, config, y, slices), slices)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 9])
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_normalizer_sums_left_to_right(k, j):
+    # the conditionals divide by the sum over u_t taken left to right, like
+    # the peel's reciprocal sums; numpy's sum pairs an innermost reduction
+    # from 8 terms on. Both routes, all mass positive and one configuration
+    # without mass, which gets zeros
+    h, n, S = 1, 3, 2
+    rng = np.random.default_rng([k, j])
+    positive = rng.uniform(0.1, 1.0, size=(n, S, k ** (h + 1 + j))) * 10.0 ** rng.integers(-6, 7, size=(n, S, 1))
+    zero = positive.copy()
+    zero.reshape(n, S, k**h, k, -1)[1, 0, 0, :, 0] = 0.0
+    for a in (positive, zero):
+        want = a.reshape(n, S, k**h, k, -1).copy()
+        for idx in np.ndindex(n, S, k**h, k**j):
+            column = want[idx[:3] + (slice(None), idx[3])]
+            total = 0.0
+            for x in column:
+                total += x
+            column[:] = column / total if total > 0.0 else 0.0
+        got = recursion._conditionals(a, k, h)
+        assert np.array_equal(got, want.reshape(a.shape))
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -713,7 +746,7 @@ def assert_intermediate_bound_error(monkeypatch, span=None):
     verdicts, flagged = spy_wave_peel(monkeypatch), spy_peel_flags(monkeypatch)
     for S, bad in ((1, 0), (2, 1), (3, 1)):
         if span is not None:
-            monkeypatch.setattr(recursion, "_BLOCK", span * S)
+            set_block(monkeypatch, span * S, k, h)
         batch_F = np.concatenate([np.ones_like(F)] * bad + [F] + [np.ones_like(F)] * (S - 1 - bad), axis=1)
         verdicts.clear()
         flagged.clear()
@@ -749,7 +782,7 @@ def test_wavefront_edges_keep_the_reference_bits(k, h, extra, block, zeros, monk
     # divide by slices of the blocks before it. A batch with a zero-mass
     # start runs every block through _peel.
     verdicts = spy_wave_peel(monkeypatch)
-    monkeypatch.setattr(recursion, "_BLOCK", block)
+    set_block(monkeypatch, block, k, h)
     T = 2 * h + extra
     rng = np.random.default_rng([k, h, extra, block])
     config = ModelConfig(k=k, h=h)
