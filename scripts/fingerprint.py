@@ -20,6 +20,11 @@ zero-mass peel path runs too) and prints one digest for each family:
   sets of two EM draws whose transitions underflow, where the linear peel
   breaks its bound, and one outlier draw whose linear slices fail the joint
   mass, where the rerun refuses an underflowing emission row
+- overlap: EM's backward pass in overlapping chunks, on T = 2,500 draws
+  at (k, h) = (2, 1) and (3, 1): a batched e_step over three sets and a
+  two-start fit, plus a batched e_step beside a sticky set (diagonal
+  0.9999, close volatilities) whose chunks miss the seam tolerance, so it
+  reruns the sequential pass
 
 Errors enter a digest by type and start, not by message, so rewording a
 message moves no digest. Equal digests from two commits
@@ -60,7 +65,7 @@ from hmmsv import (
 )
 from hmmsv.cli import main as cli_main
 
-FAMILIES = ("slices", "joints", "loglik", "e_step", "fit", "cli", "repair")
+FAMILIES = ("slices", "joints", "loglik", "e_step", "fit", "cli", "repair", "overlap")
 
 EM = ["--starts", "2", "--seed", "4", "--max-iter", "30"]
 CLI_SESSION = [
@@ -126,6 +131,14 @@ def repair_inputs() -> list:
     return inputs
 
 
+def fit_numbers(res):
+    """A fit's numbers as a tuple to feed, or its error."""
+    if isinstance(res, Exception):
+        return res
+    p = res.params
+    return (p.sigma, p.pi, *p.early, res.trace, float(res.converged), float(res.start_index), res.loglik)
+
+
 def feed(digest, value) -> None:
     """Add arrays, numbers, tuples and errors to digest, shapes included."""
     if isinstance(value, Exception):
@@ -174,6 +187,23 @@ def cli_session(digest) -> None:
             os.chdir(home)
 
 
+def overlap(digest) -> None:
+    """Feed the overlap family to digest."""
+    for k in (2, 3):
+        rng = np.random.default_rng([k, 1, 2500])
+        config = ModelConfig(k=k, h=1)
+        _, series = simulate(config, random_set(k, 1, rng, zeros=False), 2500, seed=k)
+        group = [random_set(k, 1, rng, zeros=False) for _ in range(3)]
+        feed(digest, attempt(lambda: e_step(group, config, series.y)))
+        settings = EMSettings(n_starts=2, max_iterations=10)
+        feed(digest, fit_numbers(attempt(lambda: fit(config, series.y, settings))))
+    rng = np.random.default_rng([2, 1, 2718])
+    pi = np.array([[0.9999, 0.0001], [0.0001, 0.9999]])
+    sticky = ParameterSet(early=(np.array([[0.5, 0.5]]),), pi=pi, sigma=np.array([1.0, 1.2]))
+    group = [random_set(2, 1, rng, zeros=False), sticky]
+    feed(digest, attempt(lambda: e_step(group, ModelConfig(k=2, h=1), rng.normal(0.0, 1.1, size=2500))))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--draws", type=int, default=40)
@@ -199,17 +229,15 @@ def main() -> int:
                     print(f"draw {seed}: log_likelihood {ll!r} but lag_chain_loglik {want!r}")
                     status = 1
         feed(digests["e_step"], attempt(lambda: e_step(group, config, y)))
-        res = attempt(lambda: fit(config, y, EMSettings(n_starts=3, max_iterations=25, seed=seed)))
-        if not isinstance(res, Exception):
-            p = res.params
-            res = (p.sigma, p.pi, *p.early, res.trace, float(res.converged), float(res.start_index), res.loglik)
-        feed(digests["fit"], res)
+        settings = EMSettings(n_starts=3, max_iterations=25, seed=seed)
+        feed(digests["fit"], fit_numbers(attempt(lambda: fit(config, y, settings))))
     cli_session(digests["cli"])
     for config, params, y in repair_inputs():
         rng = np.random.default_rng([config.k, config.h, 2718])
         wide = [random_set(config.k, config.h, rng, zeros=False, sigma=(1.0, 40.0)) for _ in range(2)]
         feed(digests["repair"], attempt(lambda: backward_pass(params, config, y)))
         feed(digests["repair"], attempt(lambda: e_step([wide[0], params, wide[1]], config, y)))
+    overlap(digests["overlap"])
     print(f"numpy {np.__version__}, {args.draws} draws")
     for name in FAMILIES:
         print(f"{name:7s} {digests[name].hexdigest()}")

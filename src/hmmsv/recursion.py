@@ -42,6 +42,13 @@ _STAGE_FLOATS = 2**17
 # loop up to 64 and lost at 128 (2-CPU host). S stays out of the rule, so a
 # start's bits never depend on its batch
 _CHUNK_COST = 64
+# overlap occasions of EM's chunked backward pass: at 64, 128 and 256, 22,
+# 12 and 2 of 24 sticky k = 2, 3 chains (persistence 0.95-0.995) failed the
+# seams. Chunks run at k**(2h+1) <= 27, h = 1 alone, where the seam check
+# is a bound; with fit's ten starts they won up to 27 (2-CPU host)
+_OVERLAP = 256
+_OVERLAP_COST = 27
+_SEAM_TOL = 1e-12
 
 
 class StructuralZeroError(ValueError):
@@ -440,14 +447,71 @@ def _relog(F: np.ndarray, P: np.ndarray, i: int, k: int, h: int) -> np.ndarray:
         raise
 
 
+def _overlap_backward(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
+    """_backward_pass of S starts on overlapping chunks of the series, to
+    1e-12 or by rerunning it; EM's backward pass.
+
+    With W = _OVERLAP and L = max(W, ceil(sqrt(T W))), chunk c keeps
+    occasions cL + 1, ..., (c+1)L and runs on the N = L + W + h occasions
+    from cL - h + 1, as if the series ended there; its first h read as
+    series-start rows. Chunk 0 runs from the series start; the last keeps
+    the rest and ends at T, with the sequential bits. All run through one
+    _backward_pass as S B pseudo-starts, c S + s for chunk c of start s:
+    about N Python steps instead of T. Posteriors forget far data
+    geometrically, so the W overlap occasions absorb the false end. Only
+    where h >= 1, T >= 2N and k**(2h+1) <= _OVERLAP_COST.
+
+    Seam check: at chunk c's first overlap occasion, the spread over u_t of
+    the log ratio of its slice rows to the stitched ones is the distance of
+    their backward information, which earlier occasions only shrink. A
+    start whose spread exceeds _SEAM_TOL, or meets a zero, reruns the
+    sequential pass; a failing pseudo-start reruns its start s alone, so
+    the StructuralZeroError names s and the real occasion.
+    """
+    T, S = F.shape[:2]
+    W = _OVERLAP
+    L = max(W, ceil(sqrt(T * W)))
+    N = L + W + h
+    if h == 0 or T < 2 * N or k ** (2 * h + 1) > _OVERLAP_COST:
+        return _backward_pass(F, P, k, h)
+    B = ceil((T - W) / L)
+    first = np.minimum(np.maximum(np.arange(B) * L - h, 0), T - N)
+    rows = F[first + np.arange(N)[:, None]].reshape(N, B * S, k)
+    try:
+        chunks = _backward_pass(rows, np.tile(P, (B, 1, 1)), k, h).reshape(N, B, S, k**h, k)
+    except StructuralZeroError as exc:
+        s = exc.start % S
+        # the start's own pass names the real occasion
+        try:
+            _backward_pass(F[:, s : s + 1], P[s : s + 1], k, h)
+        except StructuralZeroError as real:
+            exc = real
+        exc.start = s
+        raise exc
+    Q = np.empty((T, S, k**h, k))
+    for c in range(B):
+        lo, hi = c * L, T if c == B - 1 else (c + 1) * L
+        Q[lo:hi] = chunks[lo - first[c] : hi - first[c], c]
+    seams = np.arange(1, B) * L
+    a, b = chunks[seams - first[:-1], np.arange(B - 1)], Q[seams]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.log(a / b)
+        # each row's spread over u_t; infinite or NaN at a zero entry
+        gap = (d.max(axis=3) - d.min(axis=3)).max(axis=(0, 2))
+    bad = ~(gap <= _SEAM_TOL)
+    if bad.any():
+        Q[:, bad] = _backward_pass(F[:, bad], P[bad], k, h)
+    return Q
+
+
 def _posterior_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> tuple[np.ndarray, np.ndarray]:
     """(T, S, k**h, k) slices and joints of S starts from their (T, S, k)
-    emission rows and (S, h+1, k**(h+1)) prior stacks: _backward_pass, then
-    _forward_joint_pass. A start whose joint mass fails reruns through
+    emission rows and (S, h+1, k**(h+1)) prior stacks: _overlap_backward,
+    then _forward_joint_pass. A start whose joint mass fails reruns through
     _relog; if it fails again, the StructuralZeroError names the start. The
     other starts keep their bits, as in any batch.
     """
-    Q, logged = _backward_pass(F, P, k, h), set()
+    Q, logged = _overlap_backward(F, P, k, h), set()
     while True:
         try:
             return Q, _forward_joint_pass(Q, k, h)
@@ -474,8 +538,9 @@ def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
 
     The engine carries a leading axis of S parameter sets that share the
     series, and this is its S = 1 case; e_step runs several EM starts through
-    it at once. Every start chooses its own route, so its slices are the same
-    bits in any batch and any block size.
+    it at once, long series of narrow windows in overlapping chunks that
+    agree with it to 1e-12. Every start chooses its own route, so its slices
+    are the same bits in any batch and any block size.
     """
     F, P = _inputs([params], config, y)
     return _backward_pass(F, P, config.k, config.h)[:, 0]

@@ -1188,6 +1188,146 @@ def test_chunk_route_ignores_the_batch_size():
         assert np.array_equal(joints, np.concatenate(alone, axis=1))
 
 
+# ---------------------------------------------------------------------------
+# overlapping chunks in EM's backward pass
+
+
+def chunk_length(T, h):
+    """N, the occasions of each pseudo-series _overlap_backward runs on a
+    series of T occasions."""
+    W = recursion._OVERLAP
+    return max(W, math.ceil(math.sqrt(T * W))) + W + h
+
+
+def shortest_chunked(h):
+    """The shortest series that _overlap_backward cuts into chunks."""
+    return next(T for T in range(1, 10**5) if T >= 2 * chunk_length(T, h))
+
+
+def spy_backward_calls(monkeypatch):
+    """Record the (occasions, starts) shape of every _backward_pass call."""
+    calls = []
+    real = recursion._backward_pass
+
+    def spy(F, P, k, h):
+        calls.append(F.shape[:2])
+        return real(F, P, k, h)
+
+    monkeypatch.setattr(recursion, "_backward_pass", spy)
+    return calls
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 3),
+    S=st.integers(1, 3),
+    kind=st.sampled_from(["plain", "sticky", "stickier", "outlier", "zeros"]),
+    extra=st.integers(0, 300),
+)
+@settings(deadline=None, max_examples=40)
+def test_overlap_chunks_agree_or_fall_back_property(seed, k, S, kind, extra):
+    # a series just long enough for chunks; sticky chains (diagonal 0.99 and
+    # 0.9999) forget slowly, an observation 40 low-state sigmas out may
+    # underflow its emission row, and exact zeros leave placeholder rows.
+    # Every start agrees with the sequential pass to 1e-12, where its seams
+    # did, or reran it and has its bits; an error is the start's own
+    h = 1
+    T = shortest_chunked(h) + extra
+    assume(T >= 2 * chunk_length(T, h))
+    rng = np.random.default_rng(seed)
+    bias = {"sticky": 0.99, "stickier": 0.9999}.get(kind, 0.0)
+    group = [random_parameters(k, h, rng, diag_bias=bias) for _ in range(S)]
+    if kind == "zeros" and k > 1:
+        group = [with_zeros(p) for p in group]
+    y = rng.normal(0.0, 2.0, size=T)
+    if kind == "outlier":
+        y[rng.integers(T)] = 40.0 * group[0].sigma[0]
+    F, P = recursion._inputs(group, ModelConfig(k=k, h=h), y)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_backward_calls(mp)
+        try:
+            got = recursion._overlap_backward(F, P, k, h)
+        except StructuralZeroError as exc:
+            with pytest.raises(StructuralZeroError):
+                _backward_pass(F, P, k, h)
+            with pytest.raises(StructuralZeroError) as alone:
+                backward_pass(group[exc.start], ModelConfig(k=k, h=h), y)
+            assert str(exc) == str(alone.value)
+            return
+    # the chunks, then at most one sequential rerun of the starts whose
+    # seams broke the tolerance
+    assert calls[0][0] == chunk_length(T, h) and len(calls) <= 2
+    reran = calls[1][1] if len(calls) == 2 else 0
+    want = _backward_pass(F, P, k, h)
+    assert np.abs(got - want).max() <= 1e-12
+    assert sum(np.array_equal(got[:, i], want[:, i]) for i in range(S)) >= reran
+    # the last chunk runs up to T, as the sequential pass does
+    assert np.array_equal(got[-1], want[-1])
+
+
+def test_overlap_batch_keeps_each_start_alone(monkeypatch):
+    # EM's route on a long series: each start's joints and likelihood are
+    # its bits alone, whether its chunks meet (the plain starts) or it reruns
+    # the sequential pass (diagonal 0.9999 and close volatilities forget
+    # slowly), and agree with the public passes to 1e-12
+    calls = spy_backward_calls(monkeypatch)
+    for k in (2, 3):
+        rng = np.random.default_rng(k)
+        config = ModelConfig(k=k, h=1)
+        group = [random_parameters(k, 1, rng) for _ in range(3)]
+        pi = np.full((k, k), 1e-4 / (k - 1)) + np.eye(k) * (1.0 - 1e-4 - 1e-4 / (k - 1))
+        sticky = ParameterSet(early=(np.full((1, k), 1.0 / k),), pi=pi, sigma=np.linspace(1.0, 1.2, k))
+        group.insert(1, sticky)
+        y = rng.normal(0.0, 1.5, size=2500)
+        calls.clear()
+        joints, lls = e_step(group, config, y)
+        assert calls == [(chunk_length(2500, 1), 3 * len(group)), (2500, 1)]
+        for i, params in enumerate(group):
+            alone, ll = e_step(params, config, y)
+            assert np.array_equal(joints[i], alone) and lls[i] == ll
+            slices = backward_pass(params, config, y)
+            assert np.abs(alone - forward_joint_pass(slices, config)).max() <= 1e-12
+            assert ll == pytest.approx(log_likelihood(params, config, y, slices), rel=1e-12)
+        assert np.array_equal(joints[1], forward_joint_pass(backward_pass(group[1], config, y), config))
+
+
+def test_overlap_error_names_the_real_start_and_occasion(monkeypatch):
+    # an observation 60 sigma out at t = 1301 lies in the second chunk
+    # alone, pseudo-start 1 * 3 + 2 of three starts, at its occasion 502:
+    # the error names start 2 and t = 1301, as the start's own pass does
+    config = ModelConfig(k=2, h=1)
+    early, pi = (np.array([[0.5, 0.5]]),), np.array([[0.9, 0.1], [0.2, 0.8]])
+    bad = ParameterSet(early=early, pi=pi, sigma=np.array([1.0, 1.2]))
+    good = ParameterSet(early=early, pi=pi, sigma=np.array([1.0, 30.0]))
+    y = np.random.default_rng(8).normal(0, 1, size=2500)
+    y[1300] = 60.0
+    calls = spy_backward_calls(monkeypatch)
+    with pytest.raises(StructuralZeroError, match=underflow_guard(1301)) as info:
+        e_step([good, good, bad], config, y)
+    assert info.value.start == 2
+    assert calls == [(chunk_length(2500, 1), 9), (2500, 1)]
+    with pytest.raises(StructuralZeroError, match=underflow_guard(1301)):
+        backward_pass(bad, config, y)
+    e_step([good, good], config, y)
+
+
+@pytest.mark.parametrize(
+    ("k", "h", "T"), [(2, 2, 2500), (4, 1, 2500), (3, 0, 2500), (3, 1, 1913), (2, 1, 1915), (2, 1, 300)]
+)
+def test_overlap_route_keeps_the_sequential_bits_outside_its_rule(k, h, T, monkeypatch):
+    # above the cost cap, at h = 0 and below two chunk lengths, EM's route
+    # is the sequential pass itself
+    assert k ** (2 * h + 1) > recursion._OVERLAP_COST or h == 0 or T < 2 * chunk_length(T, h)
+    rng = np.random.default_rng(T)
+    config = ModelConfig(k=k, h=h)
+    group = [random_parameters(k, h, rng) for _ in range(2)]
+    F, P = recursion._inputs(group, config, rng.normal(0.0, 1.5, size=T))
+    want = _backward_pass(F, P, k, h)
+    calls = spy_backward_calls(monkeypatch)
+    assert np.array_equal(recursion._overlap_backward(F, P, k, h), want)
+    assert calls == [(T, 2)]
+
+
 def test_posterior_arrays_are_checked_by_shape():
     # a wrong shape used to give a wrong likelihood or a numpy reshape error
     config, params, y = random_instance(3, k=2, h=1, T=50)
