@@ -448,8 +448,8 @@ def _relog(F: np.ndarray, P: np.ndarray, i: int, k: int, h: int) -> np.ndarray:
 
 
 def _overlap_backward(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
-    """_backward_pass of S starts on overlapping chunks of the series, to
-    1e-12 or by rerunning it; EM's backward pass.
+    """_backward_pass of S starts on overlapping chunks of the series where
+    h >= 1, T >= 2N and k**(2h+1) <= _OVERLAP_COST; EM's backward pass.
 
     With W = _OVERLAP and L = max(W, ceil(sqrt(T W))), chunk c keeps
     occasions cL + 1, ..., (c+1)L and runs on the N = L + W + h occasions
@@ -458,49 +458,49 @@ def _overlap_backward(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarra
     the rest and ends at T, with the sequential bits. All run through one
     _backward_pass as S B pseudo-starts, c S + s for chunk c of start s:
     about N Python steps instead of T. Posteriors forget far data
-    geometrically, so the W overlap occasions absorb the false end. Only
-    where h >= 1, T >= 2N and k**(2h+1) <= _OVERLAP_COST.
+    geometrically, so the W overlap occasions absorb the false end.
 
-    Seam check: at chunk c's first overlap occasion, the spread over u_t of
+    Seam check: at a chunk's first overlap occasion, the spread over u_t of
     the log ratio of its slice rows to the stitched ones is the distance of
-    their backward information, which earlier occasions only shrink. A
-    start whose spread exceeds _SEAM_TOL, or meets a zero, reruns the
-    sequential pass; a failing pseudo-start reruns its start s alone, so
-    the StructuralZeroError names s and the real occasion.
+    their backward information, which earlier occasions only shrink; summed
+    over the seams it bounds each chunk's distance to the sequential pass.
+    Starts whose sum exceeds _SEAM_TOL or meets a zero, or whose chunks
+    raise, rerun that pass together, and its errors name the real start.
     """
     T, S = F.shape[:2]
-    W = _OVERLAP
-    L = max(W, ceil(sqrt(T * W)))
-    N = L + W + h
+    L = max(_OVERLAP, ceil(sqrt(T * _OVERLAP)))
+    N = L + _OVERLAP + h
     if h == 0 or T < 2 * N or k ** (2 * h + 1) > _OVERLAP_COST:
         return _backward_pass(F, P, k, h)
-    B = ceil((T - W) / L)
+    B = ceil((T - _OVERLAP) / L)
     first = np.minimum(np.maximum(np.arange(B) * L - h, 0), T - N)
-    rows = F[first + np.arange(N)[:, None]].reshape(N, B * S, k)
-    try:
-        chunks = _backward_pass(rows, np.tile(P, (B, 1, 1)), k, h).reshape(N, B, S, k**h, k)
-    except StructuralZeroError as exc:
-        s = exc.start % S
-        # the start's own pass names the real occasion
+    ok = np.arange(S)
+    while ok.size:
+        rows = F[(first + np.arange(N)[:, None])[..., None], ok].reshape(N, -1, k)
         try:
-            _backward_pass(F[:, s : s + 1], P[s : s + 1], k, h)
-        except StructuralZeroError as real:
-            exc = real
-        exc.start = s
-        raise exc
+            chunks = _backward_pass(rows, np.tile(P[ok], (B, 1, 1)), k, h).reshape(N, B, ok.size, k**h, k)
+            break
+        except StructuralZeroError as exc:
+            ok = np.delete(ok, exc.start % ok.size)
     Q = np.empty((T, S, k**h, k))
-    for c in range(B):
-        lo, hi = c * L, T if c == B - 1 else (c + 1) * L
-        Q[lo:hi] = chunks[lo - first[c] : hi - first[c], c]
-    seams = np.arange(1, B) * L
-    a, b = chunks[seams - first[:-1], np.arange(B - 1)], Q[seams]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.log(a / b)
-        # each row's spread over u_t; infinite or NaN at a zero entry
-        gap = (d.max(axis=3) - d.min(axis=3)).max(axis=(0, 2))
-    bad = ~(gap <= _SEAM_TOL)
-    if bad.any():
-        Q[:, bad] = _backward_pass(F[:, bad], P[bad], k, h)
+    if ok.size:
+        for c in range(B):
+            lo, hi = c * L, T if c == B - 1 else (c + 1) * L
+            Q[lo:hi, ok] = chunks[lo - first[c] : hi - first[c], c]
+        seams = np.arange(1, B) * L
+        a, b = chunks[seams - first[:-1], np.arange(B - 1)], Q[seams][:, ok]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.log(a / b)
+            # each seam's spread, summed; infinite or NaN at a zero entry
+            gap = (d.max(axis=3) - d.min(axis=3)).max(axis=2).sum(axis=0)
+        ok = ok[gap <= _SEAM_TOL]
+    bad = np.setdiff1d(np.arange(S), ok)
+    if bad.size:
+        try:
+            Q[:, bad] = _backward_pass(F[:, bad], P[bad], k, h)
+        except StructuralZeroError as exc:
+            exc.start = int(bad[exc.start])
+            raise
     return Q
 
 

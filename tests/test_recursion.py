@@ -1254,15 +1254,38 @@ def test_overlap_chunks_agree_or_fall_back_property(seed, k, S, kind, extra):
                 backward_pass(group[exc.start], ModelConfig(k=k, h=h), y)
             assert str(exc) == str(alone.value)
             return
-    # the chunks, then at most one sequential rerun of the starts whose
-    # seams broke the tolerance
-    assert calls[0][0] == chunk_length(T, h) and len(calls) <= 2
-    reran = calls[1][1] if len(calls) == 2 else 0
+    # the chunks, once more without each start whose chunks raised, then at
+    # most one sequential rerun of those and of the starts whose seams broke
+    # the tolerance
+    chunked = [n for n, _ in calls if n == chunk_length(T, h)]
+    assert calls[0][0] == chunk_length(T, h) and len(calls) <= len(chunked) + 1
+    reran = calls[-1][1] if calls[-1][0] == T else 0
     want = _backward_pass(F, P, k, h)
     assert np.abs(got - want).max() <= 1e-12
     assert sum(np.array_equal(got[:, i], want[:, i]) for i in range(S)) >= reran
     # the last chunk runs up to T, as the sequential pass does
     assert np.array_equal(got[-1], want[-1])
+
+
+@pytest.mark.parametrize(("k", "reran"), [(2, 1), (3, 0)])
+def test_overlap_seams_add_up_on_a_long_series(k, reran, monkeypatch):
+    # T = 20,000 makes nine chunks, eight seams. A chunk's distance to the
+    # sequential pass is bounded by the spreads at its seam and every later
+    # one, so their sum is checked. At k = 2 the start with diagonal bias
+    # 0.95 forgets too slowly (its chunks are off by 3.5e-9) and reruns
+    # the sequential pass; every start keeps 1e-12
+    T = 20_000
+    assert math.ceil((T - recursion._OVERLAP) / (chunk_length(T, 1) - recursion._OVERLAP - 1)) == 9
+    rng = np.random.default_rng(k)
+    group = [random_parameters(k, 1, rng, diag_bias=bias) for bias in (0.0, 0.9, 0.95)]
+    F, P = recursion._inputs(group, ModelConfig(k=k, h=1), rng.normal(0.0, 1.5, size=T))
+    calls = spy_backward_calls(monkeypatch)
+    got = recursion._overlap_backward(F, P, k, 1)
+    assert calls == [(chunk_length(T, 1), 9 * 3)] + [(T, reran)] * (reran > 0)
+    monkeypatch.undo()
+    want = _backward_pass(F, P, k, 1)
+    assert np.abs(got - want).max() <= 1e-12
+    assert sum(np.array_equal(got[:, i], want[:, i]) for i in range(3)) >= reran
 
 
 def test_overlap_batch_keeps_each_start_alone(monkeypatch):
@@ -1294,21 +1317,54 @@ def test_overlap_batch_keeps_each_start_alone(monkeypatch):
 def test_overlap_error_names_the_real_start_and_occasion(monkeypatch):
     # an observation 60 sigma out at t = 1301 lies in the second chunk
     # alone, pseudo-start 1 * 3 + 2 of three starts, at its occasion 502:
-    # the error names start 2 and t = 1301, as the start's own pass does
+    # the other two rerun their chunks, and start 2 the sequential pass,
+    # whose error names start 2 and t = 1301, as the start's own pass does
     config = ModelConfig(k=2, h=1)
     early, pi = (np.array([[0.5, 0.5]]),), np.array([[0.9, 0.1], [0.2, 0.8]])
     bad = ParameterSet(early=early, pi=pi, sigma=np.array([1.0, 1.2]))
     good = ParameterSet(early=early, pi=pi, sigma=np.array([1.0, 30.0]))
     y = np.random.default_rng(8).normal(0, 1, size=2500)
     y[1300] = 60.0
+    N = chunk_length(2500, 1)
     calls = spy_backward_calls(monkeypatch)
     with pytest.raises(StructuralZeroError, match=underflow_guard(1301)) as info:
         e_step([good, good, bad], config, y)
     assert info.value.start == 2
-    assert calls == [(chunk_length(2500, 1), 9), (2500, 1)]
+    assert calls == [(N, 9), (N, 6), (2500, 1)]
     with pytest.raises(StructuralZeroError, match=underflow_guard(1301)):
         backward_pass(bad, config, y)
     e_step([good, good], config, y)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (0, 1, 0), (1, 0, 0)])
+def test_overlap_rerun_error_names_its_start_in_the_batch(order, monkeypatch):
+    # an exact-zero transition puts zeros in every seam row, so that start
+    # passes its chunks and reruns the sequential pass, here made to fail:
+    # the error names the start's place in the whole batch, not in the
+    # batch of reruns, and the plain starts are not rerun
+    config = ModelConfig(k=2, h=1)
+    early = (np.array([[0.5, 0.5]]),)
+    kinds = [
+        ParameterSet(early=early, pi=np.array([[0.9, 0.1], [0.2, 0.8]]), sigma=np.array([1.0, 3.0])),
+        ParameterSet(early=early, pi=np.array([[1.0, 0.0], [0.2, 0.8]]), sigma=np.array([1.0, 3.0])),
+    ]
+    group = [kinds[i] for i in order]
+    y = np.random.default_rng(9).normal(0, 1, size=2500)
+    marked = recursion._inputs([kinds[1]], config, y)[1][0]
+    calls, real = [], recursion._backward_pass
+
+    def failing(F, P, k, h):
+        calls.append(F.shape[:2])
+        if len(F) == len(y):
+            hit = [i for i in range(len(P)) if np.array_equal(P[i], marked)]
+            raise StructuralZeroError("sequential pass failed", start=hit[0])
+        return real(F, P, k, h)
+
+    monkeypatch.setattr(recursion, "_backward_pass", failing)
+    with pytest.raises(StructuralZeroError, match="sequential pass failed") as info:
+        e_step(group, config, y)
+    assert info.value.start == order.index(1)
+    assert calls == [(chunk_length(2500, 1), 3 * len(group)), (2500, 1)]
 
 
 @pytest.mark.parametrize(
