@@ -12,9 +12,13 @@ each), per interior occasion, so that the build and the peel loop (backward
 less build) show separately. The chunks column times
 recursion._overlap_backward, EM's backward pass, with its cost cap lifted,
 so every shape runs as overlapping chunks where the series holds two chunk
-lengths (elsewhere it is the backward pass again): EM takes them only where
-k**(2h+1) <= recursion._OVERLAP_COST, here at (2, 1) and (3, 1), and the
-rows at T = 2,500 show the shapes either side of that cap at fit's length.
+lengths (elsewhere it is the backward pass again). Each chunk keeps L =
+max(W, ceil(sqrt(T W) / 2)) occasions and runs on L + W + h, with W =
+recursion._OVERLAP overlap occasions: 400 and 657 at T = 2,500, 800 and
+1,057 at T = 10,000. EM takes the chunks only where k**(2h+1) <=
+recursion._OVERLAP_COST, here at (2, 1) and (3, 1); the rows at T = 2,500
+show fit-h1's shape, (2, 1), and the shapes either side of that cap at
+fit's length.
 Emission rows and prior stacks are built outside the timed region.
 The forward pass runs in chunks at (2, 1), (3, 1), (2, 2) and (4, 1) only:
 (2, 3), at k**(2h+1) = 128 per start, is the cheapest grid point past the
@@ -47,7 +51,7 @@ from hmmsv.recursion import (
 
 GRID = (
     (2, 1, 10_000), (3, 1, 10_000), (2, 3, 10_000), (3, 2, 10_000), (4, 2, 10_000), (3, 3, 5_000), (2, 4, 5_000),
-    (3, 1, 2_500), (2, 2, 2_500), (4, 1, 2_500),
+    (2, 1, 2_500), (3, 1, 2_500), (2, 2, 2_500), (4, 1, 2_500),
 )
 BATCHES = (1, 4, 10)
 

@@ -75,9 +75,10 @@ def e_step(params, config: ModelConfig, y):
     (u_1, ..., u_t) for t <= h, and state_marginals(joints) gives the
     smoothed state probabilities. ll is log_likelihood's default, the path
     identity averaged over those joints, to rounding: at h = 1 and k <= 3,
-    from about 1,900 occasions on, the slices come from overlapping chunks
-    of the series that agree with backward_pass to 1e-12, or the start
-    reruns backward_pass (recursion._overlap_backward). As in backward_pass,
+    from about 1,030 occasions on, the slices come from overlapping chunks
+    of the series, each keeping L = max(256, ceil(sqrt(256 T) / 2))
+    occasions, that agree with backward_pass to 1e-12, or the start reruns
+    backward_pass (recursion._overlap_backward). As in backward_pass,
     a start whose peel fails its bound check reruns on logs; here a start
     whose joint at some occasion does not sum to one does too. If that
     fails as well, typically at an exact-zero transition,
@@ -244,7 +245,8 @@ def fit(config: ModelConfig, y, settings: EMSettings | None = None) -> FitResult
     1 / (k - 1) of that for its wavefront and 1 / k while it builds: a
     one-start fit at k = 3, h = 3, T = 2,500 peaks at 7.5 MiB traced by
     tracemalloc. Long series at h = 1, k <= 3 run it in overlapping chunks
-    (see e_step), equal to backward_pass to rounding. A start that fails
+    of L = max(256, ceil(sqrt(256 T) / 2)) occasions (see e_step), equal to
+    backward_pass to rounding. A start that fails
     drops out; the first start with the highest final log-likelihood wins.
     States in the returned parameters are relabeled so volatilities ascend.
     """

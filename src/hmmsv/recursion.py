@@ -37,6 +37,11 @@ _ENTRY_TOL = 1e-10
 # under 1 / (k - 1) of that and build transients 1 / k. 2**16 and 2**18
 # timed alike (2-CPU host)
 _STAGE_FLOATS = 2**17
+# largest k**(j+1), a window's numerators per lag configuration, that
+# _conditionals normalizes with the configurations innermost: 0.25-0.94x of
+# the k**j-long loops up to 27, 1.3-2.7x at (7, 1), (2, 4) and beyond
+# (2-CPU host)
+_NARROW_WINDOW = 27
 # largest k**(2h+1), a chunk product's cost per start and occasion, at which
 # the forward joint pass runs in chunks: with fit's ten starts they beat the
 # loop up to 64 and lost at 128 (2-CPU host). S stays out of the rule, so a
@@ -95,19 +100,33 @@ def _conditionals(a: np.ndarray, k: int, h: int) -> np.ndarray:
     """Full conditionals from the (n, S, k**(h+1+j)) numerators a of
     _numerator, normalized over u_t in place; returns a. A configuration
     with no mass gets conditional probability zero.
+
+    The sums over u_t and the divide run on a view with u_t first. Where
+    k**(j+1) <= _NARROW_WINDOW it is (k, k**j, M), M = n S k**h, and the
+    sums go to a (k**j, M) array: numpy orders the axes of a call by C order
+    where its operands' strides disagree, so every call runs M-long loops
+    instead of k**j-long ones. Wider windows keep their contiguous k**j
+    loops. Either way each entry gets the same adds and divide.
     """
-    n, S = a.shape[:2]
-    a4 = a.reshape(n, S, k**h, k, -1)
+    a3 = a.reshape(-1, k, a.shape[2] // k ** (h + 1))
+    M, _, width = a3.shape
+    if k * width <= _NARROW_WINDOW:
+        view, c = a3.transpose(1, 2, 0), np.empty((width, M))
+    else:
+        view, c = a3.transpose(1, 0, 2), np.empty((M, width))
     # left to right for every k, as in _peel; numpy's sum pairs from k = 8
-    c = a4[:, :, :, :1].copy()
-    for u in range(1, k):
-        c += a4[:, :, :, u : u + 1]
+    if k == 1:
+        np.copyto(c, view[0])
+    else:
+        np.add(view[0], view[1], c)
+    for u in range(2, k):
+        np.add(c, view[u], c)
     if c.min() > 0:
-        np.divide(a4, c, out=a4)
+        np.divide(view, c, view)
     else:
         mass = c > 0
-        np.copyto(a4, 0.0, where=~mass)
-        np.divide(a4, c, out=a4, where=mass)
+        np.copyto(view, 0.0, where=~mass)
+        np.divide(view, c, out=view, where=mass)
     return a
 
 
@@ -451,14 +470,17 @@ def _overlap_backward(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarra
     """_backward_pass of S starts on overlapping chunks of the series where
     h >= 1, T >= 2N and k**(2h+1) <= _OVERLAP_COST; EM's backward pass.
 
-    With W = _OVERLAP and L = max(W, ceil(sqrt(T W))), chunk c keeps
+    With W = _OVERLAP and L = max(W, ceil(sqrt(T W) / 2)), chunk c keeps
     occasions cL + 1, ..., (c+1)L and runs on the N = L + W + h occasions
     from cL - h + 1, as if the series ended there; its first h read as
     series-start rows. Chunk 0 runs from the series start; the last keeps
     the rest and ends at T, with the sequential bits. All run through one
     _backward_pass as S B pseudo-starts, c S + s for chunk c of start s:
     about N Python steps instead of T. Posteriors forget far data
-    geometrically, so the W overlap occasions absorb the false end.
+    geometrically, so the W overlap occasions absorb the false end. L
+    trades the N steps against the B W ~ T W / L overlap occasions of
+    arithmetic; sqrt(T W) would weigh the two alike, and half of it won at
+    fit's shape once _conditionals ran long inner loops (2-CPU host).
 
     Seam check: at a chunk's first overlap occasion, the spread over u_t of
     the log ratio of its slice rows to the stitched ones is the distance of
@@ -468,7 +490,7 @@ def _overlap_backward(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarra
     raise, rerun that pass together, and its errors name the real start.
     """
     T, S = F.shape[:2]
-    L = max(_OVERLAP, ceil(sqrt(T * _OVERLAP)))
+    L = max(_OVERLAP, ceil(sqrt(T * _OVERLAP) / 2))
     N = L + _OVERLAP + h
     if h == 0 or T < 2 * N or k ** (2 * h + 1) > _OVERLAP_COST:
         return _backward_pass(F, P, k, h)
@@ -725,9 +747,10 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     broke no bound. e_step reruns such a start on logs; this function
     takes the slices as given.
 
-    With a reference path, the same formula runs on the path's point-mass
-    joint, so the identity runs along that path alone; it raises
-    StructuralZeroError if the path hits a zero emission, prior or posterior.
+    With a reference path the identity runs along that path alone: the
+    same formula on the path's point-mass joint, which reads one entry of
+    each occasion. It raises StructuralZeroError if the path hits a zero
+    emission, prior or posterior.
     """
     F, P = _inputs([params], config, y)
     T = len(F)
@@ -742,10 +765,16 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     # window index into the padded layout, as in the joints
     padded = np.concatenate([np.zeros(h, dtype=np.int64), ref - 1])
     windows = sliding_window_view(padded, h + 1) @ (k ** np.arange(h, -1, -1))
-    J = np.zeros(Q.shape)
-    J.reshape(T, -1)[np.arange(T), windows] = 1.0
+    # _joint_loglik on the path's point-mass joint, whose other entries add
+    # exact zeros: gathering the path's T entries gives the same bits
+    t = np.arange(T)
+    rows = np.zeros(P.shape[1:])
+    rows[t[:h], windows[:h]] = 1.0
+    rows[h] = np.bincount(windows[h:], minlength=rows.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = float(_joint_loglik(F, P, Q, J, k, h)[0])
+        per_occasion = np.log(F[t, 0, ref - 1]) - np.log(Q.reshape(T, -1)[t, windows])
+        prior = rows * np.log(P[0] + (rows == 0.0))
+        ll = float(per_occasion.sum() + prior.reshape(-1).sum())
     if not np.isfinite(ll):
         raise StructuralZeroError("reference path hits a zero posterior; supply another admissible path")
     return ll

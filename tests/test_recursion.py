@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hmmsv import (
+    EMSettings,
     ModelConfig,
     ParameterSet,
     StructuralZeroError,
@@ -19,12 +20,14 @@ from hmmsv import (
     bw_posteriors,
     check_posteriors,
     e_step,
+    fit,
     forward_joint_pass,
     lag_chain_loglik,
     local_decode,
     log_likelihood,
     peel,
     predict,
+    simulate,
     state_marginals,
     windowed_full_conditional,
 )
@@ -677,28 +680,41 @@ def test_wide_chains_sum_in_one_order():
     assert np.array_equal(reference_slices(params, config, y, slices), slices)
 
 
+def scalar_conditionals(a, k, h):
+    """_conditionals of the (n, S, k**(h+1+j)) numerators a, one
+    configuration at a time: its k numerators summed left to right, then
+    divided by the sum, or zeros where it has no mass."""
+    width = a.shape[2] // k ** (h + 1)
+    out = []
+    for column in a.reshape(-1, k, width).swapaxes(1, 2).tolist():
+        for numerators in column:
+            total = 0.0
+            for x in numerators:
+                total += x
+            out.append([x / total for x in numerators] if total > 0.0 else [0.0] * k)
+    return np.array(out).reshape(-1, width, k).swapaxes(1, 2).reshape(a.shape)
+
+
 @pytest.mark.parametrize("k", [2, 3, 8, 9])
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_normalizer_sums_left_to_right(k, j):
     # the conditionals divide by the sum over u_t taken left to right, like
     # the peel's reciprocal sums; numpy's sum pairs an innermost reduction
-    # from 8 terms on. Both routes, all mass positive and one configuration
+    # from 8 terms on. Interior windows (j = h) come in the pass's blocks,
+    # up to fit's 1,055 occasions; k**(j+1) runs from 2 to 729, both sides
+    # of recursion._NARROW_WINDOW. All mass positive, and one configuration
     # without mass, which gets zeros
-    h, n, S = 1, 3, 2
-    rng = np.random.default_rng([k, j])
-    positive = rng.uniform(0.1, 1.0, size=(n, S, k ** (h + 1 + j))) * 10.0 ** rng.integers(-6, 7, size=(n, S, 1))
-    zero = positive.copy()
-    zero.reshape(n, S, k**h, k, -1)[1, 0, 0, :, 0] = 0.0
-    for a in (positive, zero):
-        want = a.reshape(n, S, k**h, k, -1).copy()
-        for idx in np.ndindex(n, S, k**h, k**j):
-            column = want[idx[:3] + (slice(None), idx[3])]
-            total = 0.0
-            for x in column:
-                total += x
-            column[:] = column / total if total > 0.0 else 0.0
-        got = recursion._conditionals(a, k, h)
-        assert np.array_equal(got, want.reshape(a.shape))
+    for h in (1, 2):
+        for S in (1, 12):
+            n = min(recursion._block_span(S, k, h), 1055) if j == h else 3
+            rng = np.random.default_rng([k, j, h, S])
+            scale = 10.0 ** rng.integers(-6, 7, size=(n, S, 1))
+            positive = rng.uniform(0.1, 1.0, size=(n, S, k ** (h + 1 + j))) * scale
+            zero = positive.copy()
+            zero.reshape(n, S, k**h, k, -1)[n // 2, S - 1, 0, :, 0] = 0.0
+            for a in (positive, zero):
+                want = scalar_conditionals(a, k, h)
+                assert np.array_equal(recursion._conditionals(a, k, h), want)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -934,6 +950,33 @@ def test_loglik_reference_invariance(seed):
     ref_rng = np.random.default_rng(seed + 1)
     ref = ref_rng.integers(1, config.k + 1, size=y.size)
     assert abs(log_likelihood(params, config, y, slices, reference=ref) - base) < 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("h", [0, 1, 2])
+def test_loglik_reference_gathers_the_point_mass_bits(k, h):
+    # a reference path reads one entry of each occasion; the average over
+    # its point-mass joint adds exact zeros for every other entry, so both
+    # give the same bits, on short series and on ones longer than h
+    for seed, T in enumerate([1, 2, 3, 25, 40] * 2):
+        config, params, y = random_instance(seed, k=k, h=h, T=T)
+        rng = np.random.default_rng([k, h, seed])
+        slices = backward_pass(params, config, y)
+        path = rng.integers(1, k + 1, size=y.size)
+        F, P = recursion._inputs([params], config, y)
+        J = np.zeros(slices.shape)
+        for t in range(y.size):
+            lags = [1] * max(0, h - t) + list(path[max(0, t - h) : t + 1])
+            J.reshape(y.size, -1)[t, int(np.ravel_multi_index(np.array(lags) - 1, (k,) * (h + 1)))] = 1.0
+        want = recursion._joint_loglik(F, P, slices[:, None], J[:, None], k, h)[0]
+        assert log_likelihood(params, config, y, slices, reference=path) == want
+        # the same path through a zero posterior entry
+        holed = slices.copy()
+        holed.reshape(y.size, -1)[-1, J[-1].reshape(-1) == 1.0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StructuralZeroError, match="reference path hits a zero posterior"):
+                log_likelihood(params, config, y, holed, reference=path)
 
 
 def test_loglik_rejects_inadmissible_reference():
@@ -1196,7 +1239,13 @@ def chunk_length(T, h):
     """N, the occasions of each pseudo-series _overlap_backward runs on a
     series of T occasions."""
     W = recursion._OVERLAP
-    return max(W, math.ceil(math.sqrt(T * W))) + W + h
+    return max(W, math.ceil(math.sqrt(T * W) / 2)) + W + h
+
+
+def chunk_count(T, h):
+    """B, the chunks _overlap_backward cuts a series of T occasions into."""
+    W = recursion._OVERLAP
+    return math.ceil((T - W) / (chunk_length(T, h) - W - h))
 
 
 def shortest_chunked(h):
@@ -1267,21 +1316,38 @@ def test_overlap_chunks_agree_or_fall_back_property(seed, k, S, kind, extra):
     assert np.array_equal(got[-1], want[-1])
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_overlap_chunks_serve_fits_without_fallback(k, monkeypatch):
+    # fit's starts on a series simulated from a chain with persistence 0.95,
+    # fit-h1's shape: every E-step runs the chunks of all active starts in
+    # one call, and no start falls back to the sequential pass, which would
+    # cost about as much as the chunks again
+    pi = np.full((k, k), 0.05 / (k - 1)) + np.eye(k) * (0.95 - 0.05 / (k - 1))
+    truth = ParameterSet(early=(np.full((1, k), 1.0 / k),), pi=pi, sigma=np.array([1.0, 2.5, 6.0][:k]))
+    config = ModelConfig(k=k, h=1)
+    _, series = simulate(config, truth, 2500, 1)
+    calls = spy_backward_calls(monkeypatch)
+    fit(config, series.y, EMSettings(n_starts=4, max_iterations=10, seed=1))
+    N, B = chunk_length(2500, 1), chunk_count(2500, 1)
+    assert calls[0] == (N, 4 * B) and len(calls) == 11
+    assert all(n == N and s % B == 0 for n, s in calls)
+
+
 @pytest.mark.parametrize(("k", "reran"), [(2, 1), (3, 0)])
 def test_overlap_seams_add_up_on_a_long_series(k, reran, monkeypatch):
-    # T = 20,000 makes nine chunks, eight seams. A chunk's distance to the
+    # T = 20,000 makes 18 chunks, 17 seams. A chunk's distance to the
     # sequential pass is bounded by the spreads at its seam and every later
     # one, so their sum is checked. At k = 2 the start with diagonal bias
     # 0.95 forgets too slowly (its chunks are off by 3.5e-9) and reruns
     # the sequential pass; every start keeps 1e-12
     T = 20_000
-    assert math.ceil((T - recursion._OVERLAP) / (chunk_length(T, 1) - recursion._OVERLAP - 1)) == 9
+    assert chunk_count(T, 1) == 18
     rng = np.random.default_rng(k)
     group = [random_parameters(k, 1, rng, diag_bias=bias) for bias in (0.0, 0.9, 0.95)]
     F, P = recursion._inputs(group, ModelConfig(k=k, h=1), rng.normal(0.0, 1.5, size=T))
     calls = spy_backward_calls(monkeypatch)
     got = recursion._overlap_backward(F, P, k, 1)
-    assert calls == [(chunk_length(T, 1), 9 * 3)] + [(T, reran)] * (reran > 0)
+    assert calls == [(chunk_length(T, 1), 18 * 3)] + [(T, reran)] * (reran > 0)
     monkeypatch.undo()
     want = _backward_pass(F, P, k, 1)
     assert np.abs(got - want).max() <= 1e-12
@@ -1304,7 +1370,7 @@ def test_overlap_batch_keeps_each_start_alone(monkeypatch):
         y = rng.normal(0.0, 1.5, size=2500)
         calls.clear()
         joints, lls = e_step(group, config, y)
-        assert calls == [(chunk_length(2500, 1), 3 * len(group)), (2500, 1)]
+        assert calls == [(chunk_length(2500, 1), chunk_count(2500, 1) * len(group)), (2500, 1)]
         for i, params in enumerate(group):
             alone, ll = e_step(params, config, y)
             assert np.array_equal(joints[i], alone) and lls[i] == ll
@@ -1315,23 +1381,23 @@ def test_overlap_batch_keeps_each_start_alone(monkeypatch):
 
 
 def test_overlap_error_names_the_real_start_and_occasion(monkeypatch):
-    # an observation 60 sigma out at t = 1301 lies in the second chunk
-    # alone, pseudo-start 1 * 3 + 2 of three starts, at its occasion 502:
+    # an observation 60 sigma out at t = 1501 lies in the fourth chunk
+    # alone, pseudo-start 3 * 3 + 2 of three starts, at its occasion 302:
     # the other two rerun their chunks, and start 2 the sequential pass,
-    # whose error names start 2 and t = 1301, as the start's own pass does
+    # whose error names start 2 and t = 1501, as the start's own pass does
     config = ModelConfig(k=2, h=1)
     early, pi = (np.array([[0.5, 0.5]]),), np.array([[0.9, 0.1], [0.2, 0.8]])
     bad = ParameterSet(early=early, pi=pi, sigma=np.array([1.0, 1.2]))
     good = ParameterSet(early=early, pi=pi, sigma=np.array([1.0, 30.0]))
     y = np.random.default_rng(8).normal(0, 1, size=2500)
-    y[1300] = 60.0
-    N = chunk_length(2500, 1)
+    y[1500] = 60.0
+    N, B = chunk_length(2500, 1), chunk_count(2500, 1)
     calls = spy_backward_calls(monkeypatch)
-    with pytest.raises(StructuralZeroError, match=underflow_guard(1301)) as info:
+    with pytest.raises(StructuralZeroError, match=underflow_guard(1501)) as info:
         e_step([good, good, bad], config, y)
     assert info.value.start == 2
-    assert calls == [(N, 9), (N, 6), (2500, 1)]
-    with pytest.raises(StructuralZeroError, match=underflow_guard(1301)):
+    assert calls == [(N, 3 * B), (N, 2 * B), (2500, 1)]
+    with pytest.raises(StructuralZeroError, match=underflow_guard(1501)):
         backward_pass(bad, config, y)
     e_step([good, good], config, y)
 
@@ -1364,11 +1430,11 @@ def test_overlap_rerun_error_names_its_start_in_the_batch(order, monkeypatch):
     with pytest.raises(StructuralZeroError, match="sequential pass failed") as info:
         e_step(group, config, y)
     assert info.value.start == order.index(1)
-    assert calls == [(chunk_length(2500, 1), 3 * len(group)), (2500, 1)]
+    assert calls == [(chunk_length(2500, 1), chunk_count(2500, 1) * len(group)), (2500, 1)]
 
 
 @pytest.mark.parametrize(
-    ("k", "h", "T"), [(2, 2, 2500), (4, 1, 2500), (3, 0, 2500), (3, 1, 1913), (2, 1, 1915), (2, 1, 300)]
+    ("k", "h", "T"), [(2, 2, 2500), (4, 1, 2500), (3, 0, 2500), (3, 1, 1026), (2, 1, 1027), (2, 1, 300)]
 )
 def test_overlap_route_keeps_the_sequential_bits_outside_its_rule(k, h, T, monkeypatch):
     # above the cost cap, at h = 0 and below two chunk lengths, EM's route
