@@ -38,9 +38,9 @@ _ENTRY_TOL = 1e-10
 # timed alike (2-CPU host)
 _STAGE_FLOATS = 2**17
 # largest k**(j+1), a window's numerators per lag configuration, that
-# _conditionals normalizes with the configurations innermost: 0.25-0.94x of
-# the k**j-long loops up to 27, 1.3-2.7x at (7, 1), (2, 4) and beyond
-# (2-CPU host)
+# _conditionals normalizes with the configurations innermost: 0.25-1.0x of
+# the k**j-long loops' time up to 27, 1.3-2.7x at (k, h) = (7, 1), (2, 4),
+# (8, 1), (4, 2) and (3, 3) (2-CPU host)
 _NARROW_WINDOW = 27
 # largest k**(2h+1), a chunk product's cost per start and occasion, at which
 # the forward joint pass runs in chunks: with fit's ten starts they beat the
@@ -49,8 +49,9 @@ _NARROW_WINDOW = 27
 _CHUNK_COST = 64
 # overlap occasions of EM's chunked backward pass: at 64, 128 and 256, 22,
 # 12 and 2 of 24 sticky k = 2, 3 chains (persistence 0.95-0.995) failed the
-# seams. Chunks run at k**(2h+1) <= 27, h = 1 alone, where the seam check
-# is a bound; with fit's ten starts they won up to 27 (2-CPU host)
+# seams of chunks twice today's L. Chunks run at k**(2h+1) <= 27, h = 1
+# alone, where the seam check is a bound; with fit's ten starts they won up
+# to 27 (2-CPU host)
 _OVERLAP = 256
 _OVERLAP_COST = 27
 _SEAM_TOL = 1e-12
