@@ -700,8 +700,8 @@ def scalar_conditionals(a, k, h):
 def test_normalizer_sums_left_to_right(k, j):
     # the conditionals divide by the sum over u_t taken left to right, like
     # the peel's reciprocal sums; numpy's sum pairs an innermost reduction
-    # from 8 terms on. Interior windows (j = h) come in the pass's blocks,
-    # up to fit's 1,055 occasions; k**(j+1) runs from 2 to 729, both sides
+    # from 8 terms on. Interior windows (j = h) come in blocks of the pass's
+    # span, capped at 1,055 occasions; k**(j+1) runs from 2 to 729, both sides
     # of recursion._NARROW_WINDOW. All mass positive, and one configuration
     # without mass, which gets zeros
     for h in (1, 2):
@@ -1338,7 +1338,7 @@ def test_overlap_seams_add_up_on_a_long_series(k, reran, monkeypatch):
     # T = 20,000 makes 18 chunks, 17 seams. A chunk's distance to the
     # sequential pass is bounded by the spreads at its seam and every later
     # one, so their sum is checked. At k = 2 the start with diagonal bias
-    # 0.95 forgets too slowly (its chunks are off by 3.5e-9) and reruns
+    # 0.95 forgets too slowly (its chunks are off by 3.8e-9) and reruns
     # the sequential pass; every start keeps 1e-12
     T = 20_000
     assert chunk_count(T, 1) == 18
