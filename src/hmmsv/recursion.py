@@ -712,17 +712,19 @@ def _joint_loglik(F, P, Q, J, k: int, h: int) -> np.ndarray:
     nothing whatever its logs hold (0 log 0 = 0). The emission term is
     summed against the state marginals; the prior term once per stack row:
     each occasion t <= h against row t - 1, the later ones' summed joints
-    against row h.
+    against row h. F and Q are scratch: their logs are taken in place, so
+    the likelihood costs no posterior-sized array.
     """
     T, S = J.shape[:2]
     # adding one where there is no mass makes those logs 0 and leaves the
     # bits of every other entry
-    logq = Q + (J == 0.0)
-    np.log(logq, out=logq)
+    np.add(Q, J == 0.0, out=Q)
+    np.log(Q, out=Q)
     # einsum reduces narrow windows several times faster than sum
     marginals = np.einsum("tsmk->tsk", J)
-    logf = np.log(F + (marginals == 0.0))
-    per_occasion = np.einsum("tsk,tsk->ts", marginals, logf) - np.einsum("tsmk,tsmk->ts", J, logq)
+    np.add(F, marginals == 0.0, out=F)
+    np.log(F, out=F)
+    per_occasion = np.einsum("tsk,tsk->ts", marginals, F) - np.einsum("tsmk,tsmk->ts", J, Q)
     rows = np.zeros(P.shape)
     rows[:, : min(T, h)] = J[:h].reshape(-1, S, k ** (h + 1)).swapaxes(0, 1)
     rows[:, h] = J[h:].sum(axis=0).reshape(S, -1)
@@ -758,7 +760,8 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     Q = _posterior_array(slices, config, "slices", T)[:, None]
     k, h = config.k, config.h
     if reference is None:
-        return float(_joint_loglik(F, P, Q, _forward_joint_pass(Q, k, h), k, h)[0])
+        # _joint_loglik logs the slices in place; the caller's stay as given
+        return float(_joint_loglik(F, P, Q.copy(), _forward_joint_pass(Q, k, h), k, h)[0])
     ref = _state_path(reference, k, "reference states")
     if ref.size != T:
         raise ValueError(f"reference path has length {ref.size}, expected {T}")
@@ -801,18 +804,14 @@ class Prediction:
 def predict(params: ParameterSet, config: ModelConfig, history) -> Prediction:
     """Predict the next latent state and the distribution of the next observation.
 
-    history is either a flat decoded state path (integer labels 1..k, at
-    least the last min(T, h) states) or the (T, k**h, k) array of
-    backward-pass slices, in which case local decoding runs first. After n
-    states the next state's distribution is row min(n, h) of the padded
-    prior stack, the row simulate draws from, at the last min(n, h) states.
+    history is a flat state path, integer labels 1..k, such as
+    local_decode of e_step's joints; only its last min(T, h) states matter.
+    After n states the next state's distribution is row min(n, h) of the
+    padded prior stack, the row simulate draws from, at the last min(n, h)
+    states.
     """
     _check_compat(params, config)
-    hist = np.asarray(history)
-    if hist.ndim > 1:
-        states = local_decode(state_marginals(forward_joint_pass(hist, config)))
-    else:
-        states = _state_path(hist, config.k, "state labels")
+    states = _state_path(history, config.k, "state labels")
     k, h = config.k, config.h
     n = min(int(states.size), h)
     flat = 0

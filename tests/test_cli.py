@@ -364,6 +364,31 @@ def test_decode_and_simulate_csv_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_decode_runs_the_chunked_e_step(tmp_path, monkeypatch, capsys):
+    # 3,000 returns at (k, h) = (2, 1) are past two chunk lengths, so decode's
+    # E-step runs the backward pass as overlapping chunk pseudo-starts; they
+    # agree with the reference chain to rounding
+    config = ModelConfig(k=2, h=1)
+    params = ParameterSet(
+        early=(np.array([[0.5, 0.5]]),), pi=np.array([[0.95, 0.05], [0.1, 0.9]]), sigma=np.array([1.0, 3.0])
+    )
+    params_file = tmp_path / "params.json"
+    params_file.write_text(_json_text(params_payload(config, params)))
+    _, series = simulate(config, params, 3000, seed=4)
+    y_file = write(tmp_path / "y.csv", "".join(f"{v:.17g}\n" for v in series.y))
+    widths = []
+    backward = hmmsv.recursion._backward_pass
+    monkeypatch.setattr(hmmsv.recursion, "_backward_pass", lambda F, *rest: widths.append(F.shape[1]) or backward(F, *rest))
+    dec = tmp_path / "dec.csv"
+    assert main(["decode", "--params", str(params_file), "--input", y_file, "--format", "csv", "--out", str(dec)]) == 0
+    capsys.readouterr()
+    assert widths[0] > 1
+    _, file_params = load_params(params_file)
+    want = state_marginals(forward_joint_pass(backward_pass(file_params, config, series.y), config))
+    got = np.loadtxt(dec, delimiter=",", skiprows=1)[:, 2:]
+    assert np.abs(got - want).max() <= 1e-9
+
+
 FIT_KEYS = ["k", "h", "sigma", "early", "pi", "loglik", "npar", "bic", "trace", "converged", "start_index", "T"]
 
 

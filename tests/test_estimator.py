@@ -23,15 +23,18 @@ from hmmsv import (
     fit,
     forward_joint_pass,
     grid_search,
+    ingest,
     lag_chain_loglik,
+    local_decode,
     log_likelihood,
     m_step,
     param_count,
+    predict,
     simulate,
     state_marginals,
 )
 from hmmsv import recursion
-from hmmsv.cli import _json_text, main, params_payload
+from hmmsv.cli import _json_text, load_params, main, params_payload
 from hmmsv.estimator import _initial_parameters, _run_em
 from hmmsv.recursion import _inputs, _log_backward_pass
 
@@ -318,6 +321,51 @@ def test_public_passes_repair_the_peel_bound(seed, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", [197, 336, 891])
+def test_cli_runs_the_e_step_route_on_joint_mass_failures(seed, tmp_path, capsys):
+    # the reference chain backward_pass -> forward_joint_pass rejects these
+    # fitted sets at the joint-mass check; decode and predict run e_step,
+    # which reruns the start on logs, so they accept what fit wrote
+    config, series, res = underflow_fit(seed)
+    params_file, data = tmp_path / "params.json", tmp_path / "y.csv"
+    params_file.write_text(_json_text(params_payload(config, res.params)))
+    data.write_text("".join(f"{v:.17g}\n" for v in series.y))
+    _, params = load_params(params_file)
+    y = ingest(data).y
+    with pytest.raises(StructuralZeroError, match="joint at t="):
+        forward_joint_pass(backward_pass(params, config, y), config)
+    joints = e_step(params, config, y)[0]
+    common = ["--params", str(params_file), "--input", str(data), "--format", "csv"]
+    dec, pred = tmp_path / "dec.csv", tmp_path / "pred.csv"
+    assert main(["decode", *common, "--out", str(dec)]) == 0
+    assert main(["predict", *common, "--out", str(pred)]) == 0
+    capsys.readouterr()
+    want = [",".join(f"{q:.10g}" for q in row) for row in state_marginals(joints)]
+    assert [line.split(",", 2)[2] for line in dec.read_text().splitlines()[1:]] == want
+    next_state = predict(params, config, local_decode(state_marginals(joints))).next_state
+    assert pred.read_text().splitlines()[1] == f"next_state,{next_state}"
+
+
+def test_e_step_logs_the_slices_in_place():
+    # one e_step holds the slices and the joints; the likelihood logs the
+    # slices in place, where a log copy of them would peak at 3.45 arrays
+    config = ModelConfig(k=3, h=2)
+    params = random_parameters(3, 2, np.random.default_rng(11), diag_bias=0.6)
+    _, series = simulate(config, params, 20_000, seed=11)
+    tracemalloc.start()
+    try:
+        e_step(params, config, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * series.T * 3**3 * 8
+    # log_likelihood hands _joint_loglik a copy: the caller's slices keep their bits
+    slices = backward_pass(params, config, series)
+    kept = slices.copy()
+    log_likelihood(params, config, series, slices)
+    assert np.array_equal(slices, kept)
+
+
 def test_m_step_keeps_the_support_of_prev():
     # the pair posteriors put no mass on (1 -> 2); only with prev is that an
     # underflow, not a structural zero
@@ -497,13 +545,14 @@ def test_emission_matrix_built_once_per_start_per_e_step(monkeypatch, rng):
     assert len(calls) == 3 * 5
 
 
-@pytest.mark.parametrize(("n_starts", "limit_mib"), [(1, 16), (10, 56)])
+@pytest.mark.parametrize(("n_starts", "limit_mib"), [(1, 16), (10, 42)])
 def test_fit_staging_memory_is_bounded(n_starts, limit_mib):
     # the backward pass stages blocks of about recursion._STAGE_FLOATS
-    # floats whatever T and the number of starts are. Ten starts add three
-    # arrays of the slices' size, 15.45 MiB each: the slices, the joints and
-    # the likelihood's log copy (49.1 MiB traced in all). Keeping the last
-    # E-step's joints through the next one would add a fourth (64.4 MiB)
+    # floats whatever T and the number of starts are. Ten starts add two
+    # arrays of the slices' size, 15.45 MiB each: the slices, which the
+    # likelihood logs in place, and the joints (33.7 MiB traced in all).
+    # Keeping the last E-step's joints through the next one would add a
+    # third (49.1 MiB)
     y = np.random.default_rng(7).normal(0.0, 1.5, size=2500)
     tracemalloc.start()
     try:

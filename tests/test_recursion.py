@@ -968,7 +968,8 @@ def test_loglik_reference_gathers_the_point_mass_bits(k, h):
         for t in range(y.size):
             lags = [1] * max(0, h - t) + list(path[max(0, t - h) : t + 1])
             J.reshape(y.size, -1)[t, int(np.ravel_multi_index(np.array(lags) - 1, (k,) * (h + 1)))] = 1.0
-        want = recursion._joint_loglik(F, P, slices[:, None], J[:, None], k, h)[0]
+        # _joint_loglik logs its emission rows and slices in place
+        want = recursion._joint_loglik(F, P, slices[:, None].copy(), J[:, None], k, h)[0]
         assert log_likelihood(params, config, y, slices, reference=path) == want
         # the same path through a zero posterior entry
         holed = slices.copy()
@@ -1461,11 +1462,8 @@ def test_posterior_arrays_are_checked_by_shape():
         log_likelihood(params, config, y, np.full((50, 4), 0.5))
     with pytest.raises(ValueError, match=r"= \(50, 2, 2\), got \(49, 2, 2\)"):
         log_likelihood(params, config, y, backward_pass(params, config, y[:49]))
-    for call in (lambda: forward_joint_pass(bad, config), lambda: predict(params, config, bad)):
-        with pytest.raises(ValueError, match=named):
-            call()
-    with pytest.raises(ValueError, match=r"= \(50, 2, 2\), got \(50, 4\)"):
-        predict(params, config, np.full((50, 4), 0.5))
+    with pytest.raises(ValueError, match=named):
+        forward_joint_pass(bad, config)
 
 
 def test_posterior_arrays_without_occasions_name_the_cause():
@@ -1516,8 +1514,7 @@ def test_predict_h0_uses_shared_marginal(rng):
 
 def test_predict_density_integrates_to_one(rng):
     config, params, y = random_instance(71, k=3, h=1, T=6)
-    slices = backward_pass(params, config, y)
-    pred = predict(params, config, slices)
+    pred = predict(params, config, local_decode(state_marginals(e_step(params, config, y)[0])))
     total, _ = quad(pred.density, -40, 40)
     assert total == pytest.approx(1.0, abs=1e-6)
     # an array of points keeps its shape
@@ -1525,16 +1522,6 @@ def test_predict_density_integrates_to_one(rng):
     dens = pred.density(grid)
     assert dens.shape == grid.shape
     assert dens == pytest.approx(np.array([[pred.density(x) for x in row] for row in grid]), rel=1e-14)
-
-
-def test_predict_from_slices_equals_decoded_window(rng):
-    config, params, y = random_instance(83, k=2, h=2, T=6)
-    slices = backward_pass(params, config, y)
-    decoded = local_decode(state_marginals(forward_joint_pass(slices, config)))
-    a = predict(params, config, slices)
-    b = predict(params, config, decoded)
-    assert a.next_state == b.next_state
-    assert np.allclose(a.weights, b.weights)
 
 
 def test_predict_short_series_uses_early_table(rng):
@@ -1570,3 +1557,6 @@ def test_predict_rejects_non_integer_labels():
     with pytest.raises(ValueError, match="integers, got nan"):
         predict(params, config, [1, np.nan])
     assert predict(params, config, [1.0, 2.0]).weights.tolist() == params.pi[1].tolist()
+    # the history is a state path, not an array of slices
+    with pytest.raises(ValueError, match=r"flat sequence of labels, got shape \(5, 2, 2\)"):
+        predict(params, config, np.full((5, 2, 2), 0.5))
