@@ -34,8 +34,8 @@ from .core import ModelConfig, ParameterSet, _check_compat, _prior_stack, _state
 _ENTRY_TOL = 1e-10
 # floats of conditionals the backward pass stages per block (1 MiB), so a
 # block is built and peeled while it is still in cache; wavefront heads add
-# under 1 / (k - 1) of that and build transients 1 / k. 2**16 and 2**18
-# timed alike (2-CPU host)
+# under 1 / (k - 1) of that, a pass of one start a copy of it, and build
+# transients 1 / k. 2**16 and 2**18 timed alike (2-CPU host)
 _STAGE_FLOATS = 2**17
 # largest k**(j+1), a window's numerators per lag configuration, that
 # _conditionals normalizes with the configurations innermost: 0.25-1.0x of
@@ -207,30 +207,38 @@ def _slot_offsets(S: int, m: int, k: int, j: int) -> list:
     """Where each slot of a staging row starts, and the row width last.
 
     Slot f of a row holds a level-f input of S starts, start outermost: S *
-    m * k**(f+1) entries, with m = k**h. Slot 0 is a slice.
+    m * k**(f+1) entries, with m = k**h. Slot 0 is a slice. With one start,
+    slots f..g hold levels f..g as one (k**f + ... + k**g, m * k) run, which
+    one divide by a (1, m * k) slice serves.
     """
     return list(accumulate((S * m * k ** (f + 1) for f in range(j + 1)), initial=0))
 
 
-def _wave_peel(heads: np.ndarray, conds: np.ndarray, Q: np.ndarray, a: int, j: int, ratio: np.ndarray) -> bool:
+def _wave_peel(rows: np.ndarray, conds: np.ndarray, Q: np.ndarray, a: int, j: int, ratio: np.ndarray) -> bool:
     """Peel a block of positive conditionals as a wavefront across levels.
 
     The block's occasions are a, ..., t, with n = t - a + 1, and j future
-    states each. Row r stands for step d = a + r, r = 0, ..., n + j - 1, of
-    the pass over the (T, S, k**h, k) slices Q, and is slot-major: [slice
-    of d | level-1 input of d - 1 | ... | level-j input of d - j], laid out
-    by _slot_offsets. heads holds slots 0..j-1 of every row; conds holds the
-    last slot, the block's conditionals, in rows j, ..., n + j - 1, apart so
-    that they build contiguously.
+    states each. Row r of rows stands for step d = a + r, r = 0, ..., n + j
+    - 1, of the pass over the (T, S, k**h, k) slices Q, and is slot-major:
+    [slice of d | level-1 input of d - 1 | ... | level-j input of d - j],
+    laid out by _slot_offsets. conds holds the last slot, the block's
+    conditionals, in rows j, ..., n + j - 1, apart so that they build
+    contiguously. With several starts rows holds slots 0..j-1 only, and
+    level j reads conds. With one start rows holds every slot, and the
+    conditionals are copied into slot j, so that the inputs of every level
+    lie side by side.
 
     The step whose divisor is the slice of d runs level f of occasion d - f
-    for every f whose occasion lies in the block: one divide per level into
-    ratio, laid out like slots 1..j, then k - 1 adds of its columns, left to
-    right as in _peel, and one reciprocal, each one call over all those
-    levels at once. The output is the head of row r - 1, which is the next
-    step's input. The first j steps fill the wavefront: their divisors are
-    the slices of earlier blocks, copied from Q into their rows. The last
-    j - 1 steps drain it.
+    for every f whose occasion lies in the block: divides into ratio, laid
+    out like slots 1..j, then k - 1 adds of its columns, left to right as in
+    _peel, and one reciprocal, each one call over all those levels at once.
+    With one start a single divide serves every level, so an interior
+    occasion costs 1 + k calls; with several there is one divide per level,
+    h + k calls, as a divide over the starts' strided slots ran slower. The
+    output is the head of row r - 1, which is the next step's input. The
+    first j steps fill the wavefront: their divisors are the slices of
+    earlier blocks, copied from Q into their rows. The last j - 1 steps
+    drain it.
 
     One check after the block covers every level. Returns whether the block
     got _peel's bits: every intermediate output positive, so _peel would
@@ -240,43 +248,63 @@ def _wave_peel(heads: np.ndarray, conds: np.ndarray, Q: np.ndarray, a: int, j: i
     through _peel from conds, which no step writes.
     """
     T, S, m, k = Q.shape
-    n = len(heads) - j
+    n = len(rows) - j
     t = a + n - 1
     off = _slot_offsets(S, m, k, j)
-    heads[n:, : off[1]] = Q[t : t + j].reshape(j, -1)
-    divisors = heads[:, : off[1]].reshape(-1, S, 1, m * k)
-    inputs = [(heads[:, off[f] : off[f + 1]] if f < j else conds).reshape(-1, S, k**f, m * k) for f in range(1, j + 1)]
-    ratios = [ratio[off[f] - off[1] : off[f + 1] - off[1]].reshape(S, k**f, m * k) for f in range(1, j + 1)]
+    rows[n:, : off[1]] = Q[t : t + j].reshape(j, -1)
+    if S == 1:
+        rows[j:, off[j] :] = conds[j:]
+    divisors = rows[:, : off[1]].reshape(-1, S, 1, m * k)
 
-    def sweep(rows, lo: int, hi: int) -> None:
-        # the steps of rows, each running levels lo..hi
-        levels = list(zip(inputs[lo - 1 : hi], ratios[lo - 1 : hi]))
+    def run(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        # the inputs of levels lo..hi, side by side in every row, and their
+        # ratios; with several starts, level j's inputs are conds
+        src, base = (conds, off[j]) if lo == j and S > 1 else (rows, 0)
+        inner = src[:, off[lo] - base : off[hi + 1] - base].reshape(n + j, S, -1, m * k)
+        return inner, ratio[off[lo] - off[1] : off[hi + 1] - off[1]].reshape(S, -1, m * k)
+
+    def sweep(top: int, bottom: int, lo: int, hi: int) -> None:
+        # steps top, top - 1, ..., bottom, each running levels lo..hi, over
+        # row views: out is the head of the row below the divisor's
         first, *rest = ratio[off[lo] - off[1] : off[hi + 1] - off[1]].reshape(-1, k).T
-        outs = heads[:, off[lo - 1] : off[hi]]
-        for r in rows:
-            divisor = divisors[r]
-            # out passed positionally: ufuncs parse keywords at a cost per call
+        divs = divisors[bottom : top + 1][::-1]
+        outs = rows[bottom - 1 : top, off[lo - 1] : off[hi]][::-1]
+        # out passed positionally: ufuncs parse keywords at a cost per call;
+        # local names spare the module lookups
+        divide, add, reciprocal = np.divide, np.add, np.reciprocal
+        if S == 1:
+            inner, rat = run(lo, hi)
+            for divisor, inner_r, out in zip(divs, inner[bottom : top + 1][::-1], outs):
+                divide(divisor, inner_r, rat)
+                total = first
+                for col in rest:
+                    add(total, col, out)
+                    total = out
+                reciprocal(total, out)
+            return
+        levels = [run(f, f) for f in range(lo, hi + 1)]
+        for r, divisor, out in zip(range(top, bottom - 1, -1), divs, outs):
             for inner, rat in levels:
-                np.divide(divisor, inner[r], rat)
-            out, total = outs[r - 1], first
+                divide(divisor, inner[r], rat)
+            total = first
             for col in rest:
-                np.add(total, col, out)
+                add(total, col, out)
                 total = out
-            np.reciprocal(total, out)
+            reciprocal(total, out)
 
     # row r runs level f of occasion a + r - f for every f whose occasion
     # lies in the block: the fill steps, the full steps, the drain steps
     for r in range(n + j - 1, n, -1):
-        sweep([r], r - n + 1, min(j, r))
-    sweep(range(n, j - 1, -1), 1, j)
+        sweep(r, r, r - n + 1, min(j, r))
+    sweep(n, j, 1, j)
     for r in range(min(j - 1, n), 0, -1):
-        sweep([r], 1, r)
+        sweep(r, r, 1, r)
     bound = 1.0 + _ENTRY_TOL
-    slices = heads[:n, : off[1]]
+    slices = rows[:n, : off[1]]
     if not slices.max() <= bound:
         return False
     for g in range(1, j):
-        inter = heads[g : n + g, off[g] : off[g + 1]]
+        inter = rows[g : n + g, off[g] : off[g + 1]]
         if not (inter.min() > 0.0 and inter.max() <= bound):
             return False
     Q[a - 1 : t] = slices.reshape(n, S, m, k)
@@ -347,12 +375,13 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
     Interior blocks hold _block_span occasions, about _STAGE_FLOATS floats
     of conditionals whatever T and S are. Each block with future states
     builds its conditionals straight into the last slot of staging rows
-    allocated once per pass, in two buffers (see _wave_peel); the final
-    occasion, and every occasion when h = 0, builds straight into Q. A
-    block whose conditionals are all positive runs _wave_peel; a block with
-    a zero, or one that fails _wave_peel's check, runs through _peel one
-    peel at a time, occasion after occasion, from those same staged
-    conditionals, which clamps or flags. After the loop each start that
+    allocated once per pass, in two buffers (see _wave_peel); with one start
+    the row buffer takes a copy of that slot too, so that one divide serves
+    every level. The final occasion, and every occasion when h = 0, builds
+    straight into Q. A block whose conditionals are all positive runs
+    _wave_peel; a block with a zero, or one that fails _wave_peel's check,
+    runs through _peel one peel at a time, occasion after occasion, from
+    those same staged conditionals, which clamps or flags. After the loop each start that
     _peel flagged gets the slices of its own pass on logs (_relog), which
     raises if it fails too.
     """
@@ -365,7 +394,9 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
     # staging for the widest block, every block's rows are views into it
     rows = min(span, max(1, hi - lo + 1)) + h
     widths = _slot_offsets(S, k**h, k, h)
-    head_buffer, cond_buffer = np.empty(rows * widths[h]), np.empty(rows * (widths[-1] - widths[h]))
+    # with one start the rows take every slot, a copy of the conditionals too
+    row_buffer = np.empty(rows * widths[-1 if S == 1 else h])
+    cond_buffer = np.empty(rows * (widths[-1] - widths[h]))
     ratio = np.empty(widths[-1] - widths[1])
     failed = np.zeros(S, dtype=bool)
     t = T
@@ -379,11 +410,11 @@ def _backward_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
                 _conditionals(_numerator(F[a - 1 : t], priors, k, h, flat[a - 1 : t].reshape(n, S, -1)), k, h)
             else:
                 off = _slot_offsets(S, k**h, k, j)
-                heads = head_buffer[: (n + j) * off[j]].reshape(n + j, -1)
+                staged = row_buffer[: (n + j) * off[-1 if S == 1 else j]].reshape(n + j, -1)
                 conds = cond_buffer[: (n + j) * (off[-1] - off[j])].reshape(n + j, -1)
                 block = conds[j:]
                 _conditionals(_numerator(F[a - 1 : t], priors, k, h, block.reshape(n, S, -1)), k, h)
-                if not (block.min() > 0.0 and _wave_peel(heads, conds, Q, a, j, ratio)):
+                if not (block.min() > 0.0 and _wave_peel(staged, conds, Q, a, j, ratio)):
                     for s in range(t, a - 1, -1):
                         vals = block[s - a]
                         for f in range(j, 0, -1):

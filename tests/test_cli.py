@@ -354,13 +354,35 @@ def test_decode_and_simulate_csv_bytes(tmp_path, capsys):
     rows = zip(range(1, 41), states.tolist(), series.y.tolist())
     assert out.read_text() == reference_csv(["t", "state", "y"], rows)
 
-    y_file = write(tmp_path / "y.csv", "\n".join(f"{v:.12g}" for v in series.y) + "\n")
+    assert_decode_csv_bytes(tmp_path, params_file, series.y)
+    capsys.readouterr()
+
+
+def assert_decode_csv_bytes(tmp_path, params_file, returns):
+    """hmmsv decode of returns, written at 12 digits, gives the bytes of the
+    reference chain backward_pass -> forward_joint_pass."""
+    config, file_params = load_params(params_file)
+    y_file = write(tmp_path / "y.csv", "\n".join(f"{v:.12g}" for v in returns) + "\n")
     dec = tmp_path / "dec.csv"
     assert main(["decode", "--params", str(params_file), "--input", y_file, "--format", "csv", "--out", str(dec)]) == 0
     y = ingest(y_file).y
     marginals = state_marginals(forward_joint_pass(backward_pass(file_params, config, y), config))
     rows = [(t + 1, int(s), *m) for t, (s, m) in enumerate(zip(local_decode(marginals), marginals.tolist()))]
-    assert dec.read_text() == reference_csv(["t", "state", "q1", "q2", "q3"], rows)
+    header = ["t", "state"] + [f"q{i}" for i in range(1, config.k + 1)]
+    assert dec.read_text() == reference_csv(header, rows)
+
+
+def test_decode_csv_bytes_across_staging_blocks(tmp_path, capsys):
+    # 1,700 returns at (k, h) = (3, 2) hold three full staging blocks of
+    # interior occasions, so decode's one-start pass runs the wavefront
+    # across block seams; its bytes still equal the reference chain's
+    config = ModelConfig(k=3, h=2)
+    assert 1700 - 2 * config.h >= 3 * hmmsv.recursion._block_span(1, config.k, config.h)
+    params = random_parameters(3, 2, np.random.default_rng(5))
+    params_file = tmp_path / "params.json"
+    params_file.write_text(_json_text(params_payload(config, params)))
+    _, series = simulate(config, params, 1700, seed=9)
+    assert_decode_csv_bytes(tmp_path, params_file, series.y)
     capsys.readouterr()
 
 

@@ -647,6 +647,7 @@ def test_single_state_chains_take_the_wavefront(h, monkeypatch):
     assert verdicts and all(verdicts)
     assert np.array_equal(slices, np.ones_like(slices))
     for i, params in enumerate(group):
+        assert np.array_equal(backward_pass(params, config, y), slices[:, i])
         assert np.array_equal(reference_slices(params, config, y, slices[:, i]), slices[:, i])
 
 
@@ -664,12 +665,16 @@ def test_ratio_overflow_keeps_the_reference_bits(h, monkeypatch):
     pi = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]])[: 2**h]
     params = ParameterSet(early=early, pi=pi, sigma=np.array([1.0, 10.0]))
     y = np.array([0.3, -1.2, 0.8, 2.1, 38.0, -0.4, 1.5, -0.9, 0.2])
+    # alone, the block runs one divide per step over every level; beside
+    # another start, one per level. Both take the same route and bits
     slices = backward_pass(params, config, y)
     assert np.any(slices[4] == 0.0)
-    assert (False in verdicts) == (h == 2)
+    assert verdicts and (False in verdicts) == (h == 2)
     assert np.array_equal(reference_slices(params, config, y, slices), slices)
+    verdicts.clear()
     other = random_parameters(2, h, np.random.default_rng(h))
     assert np.array_equal(batched_slices([other, params], config, y)[:, 1], slices)
+    assert verdicts and (False in verdicts) == (h == 2)
 
 
 def test_wide_chains_sum_in_one_order():
@@ -811,6 +816,36 @@ def test_wavefront_edges_keep_the_reference_bits(k, h, extra, block, zeros, monk
     for i, params in enumerate(group):
         assert np.array_equal(backward_pass(params, config, y), slices[:, i])
         assert np.array_equal(reference_slices(params, config, y, slices[:, i]), slices[:, i])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("extra", [0, 1, 2, 7])
+@pytest.mark.parametrize("span", [1, 2, 5])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_one_start_wavefront_edges_keep_the_reference_bits(k, h, extra, span, zeros, monkeypatch):
+    # a start alone stages every level side by side and divides them in one
+    # call per step. Blocks of 1, 2 or 5 interior occasions: spans below h
+    # overlap the fill and drain steps, and with seven interior occasions
+    # the fill steps divide by slices of earlier blocks. A zero-mass start
+    # never takes the wavefront. Each start keeps the bits of the reference
+    # route and of its column in a batch of three
+    verdicts = spy_wave_peel(monkeypatch)
+    set_block(monkeypatch, span, k, h)
+    T = 2 * h + extra
+    rng = np.random.default_rng([k, h, extra, span])
+    config = ModelConfig(k=k, h=h)
+    group = [random_parameters(k, h, rng) for _ in range(3)]
+    if zeros:
+        group[1] = with_zeros(group[1])
+    y = rng.normal(0.0, 2.0, size=T)
+    batched = batched_slices(group, config, y)
+    for i, params in enumerate(group):
+        verdicts.clear()
+        slices = backward_pass(params, config, y)
+        assert (True in verdicts) == (not zeros or i != 1)
+        assert np.array_equal(slices, batched[:, i])
+        assert np.array_equal(reference_slices(params, config, y, slices), slices)
 
 
 # ---------------------------------------------------------------------------
