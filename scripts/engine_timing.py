@@ -26,7 +26,10 @@ The forward pass runs in chunks at (2, 1), (3, 1), (2, 2) and (4, 1) only:
 (2, 3), at k**(2h+1) = 128 per start, is the cheapest grid point past the
 chunk bound of 64 and runs occasion by occasion, as (3, 2) does. With one
 start the backward pass makes one divide per wavefront step, 1 + k calls
-per interior occasion; with several, h + k.
+per interior occasion; with several, h + k. The last two columns give
+memory, not time: the tracemalloc peak in MiB of one call of e_step and of
+posterior_joints at S = 1, the two posterior routes, which hold two and one
+(T, k**h, k) arrays.
 
     python scripts/engine_timing.py [--repeats 5] [--scale 1.0] [--against PATH]
 
@@ -35,7 +38,9 @@ imports the hmmsv package of the source tree at PATH beside the one on the
 import path, times every cell on both, alternating which goes first, and
 prints for each cell the median, least and greatest of the per-pair ratios,
 this tree's time over PATH's: below 1 is faster here. Unpaired medians of
-separate runs can swing 2x on a busy host; the pairs share its state.
+separate runs can swing 2x on a busy host; the pairs share its state. The
+memory columns give this tree's peak over PATH's, once, as a traced peak
+does not vary between runs; "-" where PATH has no posterior_joints.
 """
 
 import argparse
@@ -44,6 +49,7 @@ import math
 import statistics
 import sys
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -99,15 +105,19 @@ def chunked(rec, F, P, k: int, h: int) -> None:
         rec._overlap_backward(F, P, k, h)
 
 
+def row_inputs(tree, k: int, h: int, T: int):
+    """A grid row's model, its max(BATCHES) parameter sets and its series."""
+    rng = np.random.default_rng([k, h, T])
+    group = [random_set(tree, k, h, rng) for _ in range(max(BATCHES))]
+    return tree.ModelConfig(k=k, h=h), group, rng.normal(0.0, 1.5, size=T)
+
+
 def row_calls(tree, k: int, h: int, T: int):
     """One grid row on the package tree: a (call, occasions) pair per
     column, None where the column does not apply. A generator, so that
     only one batch size's arrays are alive at a time."""
     rec = tree.recursion
-    rng = np.random.default_rng([k, h, T])
-    group = [random_set(tree, k, h, rng) for _ in range(max(BATCHES))]
-    y = rng.normal(0.0, 1.5, size=T)
-    config = tree.ModelConfig(k=k, h=h)
+    config, group, y = row_inputs(tree, k, h, T)
     for S in BATCHES:
         if S > 1 and T > LONG:
             yield from [None] * len(NAMES)
@@ -119,6 +129,24 @@ def row_calls(tree, k: int, h: int, T: int):
         yield (partial(chunked, rec, F, P, k, h), T)
         yield (partial(rec._forward_joint_pass, Q, k, h), T)
     yield (partial(tree.bw_backward, group[0], config, y), T) if h == 1 else None
+
+
+def row_peaks(tree, k: int, h: int, T: int) -> list:
+    """The tracemalloc peaks, in MiB, of e_step and posterior_joints on a
+    grid row's first parameter set; None where the tree lacks the route."""
+    config, group, y = row_inputs(tree, k, h, T)
+    peaks = []
+    for route in (tree.e_step, getattr(tree, "posterior_joints", None)):
+        if route is None:
+            peaks.append(None)
+            continue
+        tracemalloc.start()
+        try:
+            route(group[0], config, y)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def seconds(fn) -> float:
@@ -153,6 +181,7 @@ def main() -> int:
     args = parser.parse_args()
     other = load_tree(args.against) if args.against else None
     head = ["k", "h", "T"] + [f"{name} S={S}" for S in BATCHES for name in NAMES] + ["bw_backward"]
+    head += ["e_step MiB", "joints MiB"]
     if other:
         print(f"numpy {np.__version__}, time ratio this tree / {args.against}, median least-greatest of {args.repeats} pairs")
     else:
@@ -163,11 +192,15 @@ def main() -> int:
         T = max(2 * h + 2, int(T * args.scale))
         row = [k, h, T]
         calls = row_calls(hmmsv, k, h, T)
+        peaks = row_peaks(hmmsv, k, h, T)
         if other:
             pairs = zip(calls, row_calls(other, k, h, T))
             row += ["-" if call is None else paired_ratio(call, against, args.repeats) for call, against in pairs]
+            pairs = zip(peaks, row_peaks(other, k, h, T))
+            row += ["-" if theirs is None else f"{ours / theirs:.2f}" for ours, theirs in pairs]
         else:
             row += ["-" if call is None else median_us(call, args.repeats) for call in calls]
+            row += [f"{peak:.1f}" for peak in peaks]
         print("  ".join(f"{c!s:>{width}s}" for c in row))
     return 0
 

@@ -52,6 +52,7 @@ from .estimator import (
     fit,
     grid_search,
     m_step,
+    posterior_joints,
 )
 from .cli import CLIError, ingest, run
 
@@ -95,6 +96,7 @@ __all__ = [
     "fit",
     "grid_search",
     "m_step",
+    "posterior_joints",
     "CLIError",
     "ingest",
     "run",

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from itertools import compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .core import (
     simulate,
     validate,
 )
-from .estimator import EMSettings, EstimationError, GridSearchResult, e_step, fit, grid_search
+from .estimator import EMSettings, EstimationError, GridSearchResult, fit, grid_search, posterior_joints
 from .recursion import (
     backward_pass,  # noqa: F401 -- unused here; bench/selftest.py checks that tracing rebinds it
     local_decode,
@@ -70,6 +71,14 @@ def _column_index(column, first_row: list[str]) -> tuple[int, bool]:
     return idx, False
 
 
+def _number(row: list[str], idx: int) -> float:
+    """The float in cell idx of a CSV row; NaN where it is missing or not a number."""
+    try:
+        return float(row[idx].strip()) if idx < len(row) else math.nan
+    except ValueError:
+        return math.nan
+
+
 def ingest(path, column=None, prices: bool = False) -> ObservationSeries:
     """Load one numeric column from a CSV or plain-number file.
 
@@ -80,39 +89,29 @@ def ingest(path, column=None, prices: bool = False) -> ObservationSeries:
     if not p.exists():
         raise CLIError(f"input file not found: {path}")
     with open(p, newline="") as fh:
-        rows = [(line, row) for line, row in enumerate(csv.reader(fh), 1) if "".join(row).strip()]
-    if not rows:
+        records = list(csv.reader(fh))
+    # the records with more than whitespace and their line numbers, in
+    # C-level passes
+    filled = np.fromiter(map(bool, map(str.strip, map("".join, records))), bool, len(records))
+    lines = np.flatnonzero(filled) + 1
+    if not lines.size:
         raise CLIError(f"input file is empty: {path}")
 
-    idx, skip_first = _column_index(column, rows[0][1])
-    if skip_first:
-        rows = rows[1:]
-
-    values: list[float] = []
-    lines: list[int] = []
-    bad: list[int] = []
-    for line, row in rows:
-        try:
-            value = float(row[idx].strip()) if idx < len(row) else math.nan
-        except ValueError:
-            value = math.nan
-        # float() also parses "nan" and "inf", which are not observations
-        if math.isfinite(value):
-            values.append(value)
-            lines.append(line)
-        else:
-            bad.append(line)
+    idx, skip_first = _column_index(column, records[lines[0] - 1])
+    lines = lines[int(skip_first) :]
+    rows = islice(compress(records, filled), int(skip_first), None)
+    arr = np.fromiter(map(_number, rows, repeat(idx)), float, lines.size)
+    # float() also parses "nan" and "inf", which are not observations
+    bad = lines[~np.isfinite(arr)].tolist()
     if bad:
         raise CLIError(
-            f"non-numeric or missing value in column {idx} at line(s) "
-            + ", ".join(str(n) for n in bad)
+            f"non-numeric or missing value in column {idx} at line(s) " + ", ".join(str(n) for n in bad)
         )
-    if not values:
+    if not arr.size:
         raise CLIError(f"empty series: no data rows in {path}")
 
-    arr = np.asarray(values, dtype=float)
     if prices:
-        nonpos = [lines[i] for i in np.nonzero(~(arr > 0))[0]]
+        nonpos = lines[~(arr > 0)].tolist()
         if nonpos:
             raise CLIError(
                 "prices must be positive; offending line(s) " + ", ".join(str(n) for n in nonpos)
@@ -304,7 +303,7 @@ def _do_grid(args: argparse.Namespace) -> tuple[dict, tuple]:
 def _do_decode(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     series = ingest(args.input, args.column, args.prices)
-    marginals = state_marginals(e_step(params, config, series)[0])
+    marginals = state_marginals(posterior_joints(params, config, series))
     states = local_decode(marginals)
     print(
         f"decode: T={len(series)} states visited="
@@ -320,7 +319,7 @@ def _do_decode(args: argparse.Namespace) -> tuple[dict, tuple]:
 def _do_predict(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     series = ingest(args.input, args.column, args.prices)
-    pred = predict(params, config, local_decode(state_marginals(e_step(params, config, series)[0])))
+    pred = predict(params, config, local_decode(state_marginals(posterior_joints(params, config, series))))
     print(
         f"predict: next state {pred.next_state}, sigma {params.sigma[pred.next_state - 1]:.6g}",
         file=sys.stderr,

@@ -80,9 +80,10 @@ def e_step(params, config: ModelConfig, y):
     in backward_pass, a start whose peel fails its bound check reruns on
     logs; here a start whose joint at some occasion does not sum to one
     does too. If that fails as well, typically at an exact-zero transition,
-    StructuralZeroError names the occasion, as in forward_joint_pass. This
-    is the one posterior route: fit, grid_search and the decode and predict
-    commands all run it.
+    StructuralZeroError names the occasion, as in forward_joint_pass. fit
+    and grid_search run it; the likelihood reads the slices as well as the
+    joints, so it holds two posterior-sized arrays, where posterior_joints,
+    which the decode and predict commands run, gives the same joints in one.
 
     params may also be a non-empty sequence of S parameter sets. They run
     through one batched pass whose arrays are time first; joints comes back
@@ -100,6 +101,19 @@ def e_step(params, config: ModelConfig, y):
     slices, joints = _posterior_pass(F, P, k, h)
     lls = _joint_loglik(F, P, slices, joints, k, h).tolist()
     return (joints.transpose(1, 0, 2, 3), lls) if batch else (joints[:, 0], lls[0])
+
+
+def posterior_joints(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
+    """e_step's joints for one parameter set, bit for bit, without the
+    log-likelihood.
+
+    The same backward pass, forward chain and reruns on logs, but no joint
+    reads a slice other than its own, so each joint is written over its
+    slice: the route holds one (T, k**h, k) array where e_step holds two.
+    The decode and predict commands run it.
+    """
+    F, P = _inputs([params], config, y)
+    return _posterior_pass(F, P, config.k, config.h, inplace=True)[1][:, 0]
 
 
 def _normalize_rows(z: np.ndarray, k: int) -> np.ndarray:

@@ -558,17 +558,27 @@ def _overlap_backward(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarra
     return Q
 
 
-def _posterior_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+def _posterior_pass(
+    F: np.ndarray, P: np.ndarray, k: int, h: int, inplace: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """(T, S, k**h, k) slices and joints of S starts from their (T, S, k)
     emission rows and (S, h+1, k**(h+1)) prior stacks: _overlap_backward,
     then _forward_joint_pass. A start whose joint mass fails reruns through
     _relog; if it fails again, the StructuralZeroError names the start. The
-    other starts keep their bits, as in any batch.
+    other starts keep their bits, as in any batch. Two posterior-sized
+    arrays, as _joint_loglik reads both.
+
+    With inplace, for one start only, each joint is written over its own
+    slice, the same bits in one posterior-sized array, and both returns are
+    that array. A rerun rebuilds the slices into it; with one start, no
+    other start's joints are there to be chained again.
     """
     Q, logged = _overlap_backward(F, P, k, h), set()
+    if inplace and Q.shape[1] != 1:
+        raise ValueError(f"an in-place posterior pass takes one start, got {Q.shape[1]}")
     while True:
         try:
-            return Q, _forward_joint_pass(Q, k, h)
+            return Q, _forward_joint_pass(Q, k, h, Q if inplace else None)
         except StructuralZeroError as exc:
             if exc.start in logged:
                 raise
@@ -630,7 +640,7 @@ def _chunk_starts(steps: np.ndarray, carried: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
+def _forward_joint_pass(Q: np.ndarray, k: int, h: int, out: np.ndarray | None = None) -> np.ndarray:
     """(T, S, k**h, k) joints from (T, S, k**h, k) slices; see forward_joint_pass.
 
     Each joint is the slice times the carried lag mass, and the next carried
@@ -640,14 +650,22 @@ def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
     lockstep; the last T mod L occasions follow. One reduction then checks
     that every joint sums to one; if not, a StructuralZeroError names the
     first such start and its first occasion.
+
+    The joints go to out, a contiguous array of Q's shape, new by default.
+    out may be Q itself: no joint reads a slice but its own, and
+    _chunk_starts reads the slices before any joint is written, so each
+    slice is multiplied in place by the same call, with the same bits.
     """
     T, S = Q.shape[:2]
+    if out is not None and not (out.shape == Q.shape and out.flags.c_contiguous):
+        # a reshaped view of any other out would be a copy, and the joints lost
+        raise ValueError(f"out must be a C-contiguous {Q.shape} array")
+    J = np.empty(Q.shape) if out is None else out
     if h == 0:
         # the posterior factorizes over occasions, so each joint is its slice
-        J = Q.copy()
+        np.copyto(J, Q)
     else:
         m = k**h
-        J = np.empty(Q.shape)
         carried = np.zeros((S, m, 1))
         carried[:, 0] = 1.0
         L = ceil(sqrt(T * m // k))
@@ -661,12 +679,16 @@ def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
             for q, joint, lag in zip(steps, joints, lags):
                 np.multiply(q, carried, out=joint)
                 np.add.reduce(lag, axis=1, out=carried)
-            carried = carried[..., -1]
-        # summing axis 1 of an occasion in this view drops its oldest lag
-        lags = J.reshape(T, S, k, -1, 1)
-        for q, joint, lag in zip(Q[done:], J[done:], lags[done:]):
-            np.multiply(q, carried, out=joint)
-            np.add.reduce(lag, axis=1, out=carried)
+            carried = carried[..., -1].copy()
+        # two-axis views of an occasion, and outs passed positionally: ufuncs
+        # parse keywords at a cost per call. Summing axis 1 of lag drops the
+        # oldest lag of each start's joint
+        col, flat = carried.reshape(S * m, 1), carried.reshape(S, m)
+        multiply, reduce = np.multiply, np.add.reduce
+        steps, joints = Q[done:].reshape(-1, S * m, k), J[done:].reshape(-1, S * m, k)
+        for q, joint, lag in zip(steps, joints, J[done:].reshape(-1, S, k, m)):
+            multiply(q, col, joint)
+            reduce(lag, 1, None, flat)
     # einsum reduces narrow windows several times faster than sum
     totals = np.einsum("tsw->ts", J.reshape(T, S, -1))
     off = ~(np.abs(totals - 1.0) <= _ENTRY_TOL)

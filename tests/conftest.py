@@ -49,6 +49,19 @@ def outlier_probe(trial):
     return ModelConfig(k=2, h=h), params, y
 
 
+def underflowing_set():
+    """(config, params, y) at k = 2, h = 2 whose window numerators at t = 2
+    have positive factors but products that underflow: read as zeros, they
+    make the linear peel drop terms and the joint at t = 1 sum to 1.82."""
+    config = ModelConfig(k=2, h=2)
+    params = ParameterSet(
+        early=(np.array([[0.5, 0.5]]), np.array([[1 - 6e-7, 6e-7], [5e-185, 1.0]])),
+        pi=np.array([[1.0, 2e-155], [0.5, 0.5], [0.5, 0.5], [2e-151, 1.0]]),
+        sigma=np.array([1.5, 2.2]),
+    )
+    return config, params, np.array([0.6, -0.1, -1.4, 1.8, 0.3, 1.0])
+
+
 def batched_slices(group, config, y):
     """(T, S, k**h, k) slices of the parameter sets in group from one batched
     pass, time first like the engine; [:, i] is the set group[i]."""

@@ -116,6 +116,22 @@ def test_ingest_rejects_nonpositive_prices(tmp_path):
         ingest(single, prices=True)
 
 
+def test_ingest_counts_lines_past_blank_rows(tmp_path):
+    # blank and whitespace-only rows are skipped but keep their line
+    # numbers; a quoted cell may hold a comma
+    text = 'date,close\n\n2020-01-01,100\n   \n"4,5", 105 \n , \n2020-01-03,103\n'
+    path = write(tmp_path / "px.csv", text)
+    assert ingest(path, column="close").y.tolist() == [100.0, 105.0, 103.0]
+    assert ingest(path, column=1, prices=True).y.tolist() == (100.0 * np.log([1.05, 103.0 / 105.0])).tolist()
+    # a short row and a non-number, each named by its line in the file
+    bad = write(tmp_path / "bad.csv", text + "2020-01-04\n\n2020-01-05,x\n2020-01-06,104\n")
+    with pytest.raises(CLIError, match=r"in column 1 at line\(s\) 8, 10$"):
+        ingest(bad, column="close")
+    negative = write(tmp_path / "neg.csv", text + "\n2020-01-05,-1\n")
+    with pytest.raises(CLIError, match=r"offending line\(s\) 9$"):
+        ingest(negative, column="close", prices=True)
+
+
 # ---------------------------------------------------------------------------
 # full command flows
 
@@ -388,8 +404,8 @@ def test_decode_csv_bytes_across_staging_blocks(tmp_path, capsys):
 
 def test_decode_runs_the_chunked_e_step(tmp_path, monkeypatch, capsys):
     # 3,000 returns at (k, h) = (2, 1) are past two chunk lengths, so decode's
-    # E-step runs the backward pass as overlapping chunk pseudo-starts; they
-    # agree with the reference chain to rounding
+    # posterior step, e_step's passes, runs the backward pass as overlapping
+    # chunk pseudo-starts; they agree with the reference chain to rounding
     config = ModelConfig(k=2, h=1)
     params = ParameterSet(
         early=(np.array([[0.5, 0.5]]),), pi=np.array([[0.95, 0.05], [0.1, 0.9]]), sigma=np.array([1.0, 3.0])

@@ -29,6 +29,7 @@ from hmmsv import (
     log_likelihood,
     m_step,
     param_count,
+    posterior_joints,
     predict,
     simulate,
     state_marginals,
@@ -38,7 +39,7 @@ from hmmsv.cli import _json_text, load_params, main, params_payload
 from hmmsv.estimator import _initial_parameters, _run_em
 from hmmsv.recursion import _inputs, _log_backward_pass
 
-from conftest import batched_slices, random_instance, random_parameters
+from conftest import batched_slices, random_instance, random_parameters, underflowing_set
 
 
 def npdf_log(y, s):
@@ -324,8 +325,9 @@ def test_public_passes_repair_the_peel_bound(seed, tmp_path, capsys):
 @pytest.mark.parametrize("seed", [197, 336, 891])
 def test_cli_runs_the_e_step_route_on_joint_mass_failures(seed, tmp_path, capsys):
     # the reference chain backward_pass -> forward_joint_pass rejects these
-    # fitted sets at the joint-mass check; decode and predict run e_step,
-    # which reruns the start on logs, so they accept what fit wrote
+    # fitted sets at the joint-mass check; decode and predict run
+    # posterior_joints, which reruns the start on logs as e_step does, so
+    # they accept what fit wrote
     config, series, res = underflow_fit(seed)
     params_file, data = tmp_path / "params.json", tmp_path / "y.csv"
     params_file.write_text(_json_text(params_payload(config, res.params)))
@@ -364,6 +366,46 @@ def test_e_step_logs_the_slices_in_place():
     kept = slices.copy()
     log_likelihood(params, config, series, slices)
     assert np.array_equal(slices, kept)
+
+
+@pytest.mark.parametrize("case", ["plain", "overlap chunks", "rerun on logs"])
+def test_posterior_joints_are_e_steps_bits(case, monkeypatch):
+    # the joints written over the slices are e_step's, bit for bit, on the
+    # sequential pass, on EM's overlap chunks and after a rerun on logs
+    if case == "plain":
+        config = ModelConfig(k=3, h=2)
+        params = random_parameters(3, 2, np.random.default_rng(3), diag_bias=0.5)
+        y = simulate(config, params, 1_200, seed=3)[1].y
+    elif case == "overlap chunks":
+        config = ModelConfig(k=2, h=1)
+        params = random_parameters(2, 1, np.random.default_rng(4), diag_bias=0.8)
+        y = simulate(config, params, 3_000, seed=4)[1].y
+    else:
+        config, params, y = underflowing_set()
+    widths, reruns = [], []
+    backward, relog = recursion._backward_pass, recursion._relog
+    monkeypatch.setattr(recursion, "_backward_pass", lambda F, *rest: widths.append(F.shape[1]) or backward(F, *rest))
+    monkeypatch.setattr(recursion, "_relog", lambda *args: reruns.append(args[2]) or relog(*args))
+    joints = posterior_joints(params, config, y)
+    assert (widths[0] > 1) == (case == "overlap chunks")
+    assert reruns == ([0] if case == "rerun on logs" else [])
+    assert np.array_equal(joints, e_step(params, config, y)[0])
+
+
+def test_posterior_joints_hold_one_posterior_array():
+    # e_step peaks at 2.30 posterior-sized arrays here, as its likelihood
+    # reads the slices and the joints; the joints written over the slices
+    # peak at 1.39, the rest being the emission rows and the staged blocks
+    config = ModelConfig(k=3, h=2)
+    params = random_parameters(3, 2, np.random.default_rng(11), diag_bias=0.6)
+    _, series = simulate(config, params, 50_000, seed=11)
+    tracemalloc.start()
+    try:
+        posterior_joints(params, config, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * series.T * 3**3 * 8
 
 
 def test_m_step_keeps_the_support_of_prev():

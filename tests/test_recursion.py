@@ -35,7 +35,7 @@ from hmmsv import recursion
 from hmmsv.core import _prior_stack, emission_matrix
 from hmmsv.recursion import _backward_pass, _forward_joint_pass, _log_backward_pass
 
-from conftest import batched_slices, outlier_probe, random_instance, random_parameters
+from conftest import batched_slices, outlier_probe, random_instance, random_parameters, underflowing_set
 
 
 def npdf(y, s):
@@ -388,13 +388,7 @@ def test_e_step_reruns_an_underflowing_start_on_logs():
     # every factor of some window numerators at t = 2 is positive, but their
     # products underflow; read as zeros, they make the linear peel drop
     # terms and the joint at t = 1 sum to 1.82
-    config = ModelConfig(k=2, h=2)
-    params = ParameterSet(
-        early=(np.array([[0.5, 0.5]]), np.array([[1 - 6e-7, 6e-7], [5e-185, 1.0]])),
-        pi=np.array([[1.0, 2e-155], [0.5, 0.5], [0.5, 0.5], [2e-151, 1.0]]),
-        sigma=np.array([1.5, 2.2]),
-    )
-    y = np.array([0.6, -0.1, -1.4, 1.8, 0.3, 1.0])
+    config, params, y = underflowing_set()
     with pytest.raises(StructuralZeroError, match="joint at t=1 sums to 1.8"):
         forward_joint_pass(backward_pass(params, config, y), config)
     joints, ll = e_step(params, config, y)
@@ -857,6 +851,21 @@ def test_forward_first_joint_is_first_slice(rng):
     slices = backward_pass(params, config, y)
     joints = forward_joint_pass(slices, config)
     assert np.allclose(joints[0, :1], slices[0, :1])
+
+
+def test_forward_out_must_be_contiguous():
+    # the joints go through reshaped views of out, which for any other
+    # layout would be copies; such an out is refused, not silently dropped
+    config, params, y = random_instance(11, k=3, h=2, T=50)
+    Q = backward_pass(params, config, y)[:, None]
+    want = _forward_joint_pass(Q, 3, 2)
+    for out in (np.empty((50, 2, 9, 3))[:, :1], np.empty((50, 1, 3, 9)).swapaxes(2, 3), np.empty((50, 1, 9, 2))):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _forward_joint_pass(Q, 3, 2, out)
+    out = np.empty(Q.shape)
+    assert _forward_joint_pass(Q, 3, 2, out) is out and np.array_equal(out, want)
+    with pytest.raises(ValueError, match="one start"):
+        recursion._posterior_pass(*recursion._inputs([params, params], config, y), 3, 2, inplace=True)
 
 
 def test_forward_single_state_chain():
