@@ -192,24 +192,37 @@ def load_params(path) -> tuple[ModelConfig, ParameterSet]:
     return config, params
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write the output's text chunks, in order, to --out or stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(chunks)
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _table_csv(header: list[str], columns: list, fmt: str) -> str:
-    """The only CSV writer: the header line, then fmt % row for each row.
+_CSV_BLOCK_ROWS = 4096
 
-    fmt ends in a newline. A text cell that holds a comma arrives quoted (see
-    _cell), so the output is what csv's minimal quoting would write.
+
+def _table_csv(header: list[str], columns: list, fmt: str):
+    """The only CSV writer: yields the header line, then fmt % row for each
+    row, _CSV_BLOCK_ROWS rows to a chunk.
+
+    columns are sequences of one length: lists, ranges or 1-D arrays, which
+    are turned into Python numbers a block at a time, so a long table is
+    never held as Python objects or text at once. fmt ends in a newline. A
+    text cell that holds a comma arrives quoted (see _cell), so the output is
+    what csv's minimal quoting would write.
     """
-    return ",".join(header) + "\n" + "".join([fmt % row for row in zip(*columns)])
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [col[start : start + _CSV_BLOCK_ROWS] for col in columns]
+        rows = zip(*[col.tolist() if isinstance(col, np.ndarray) else col for col in block])
+        yield "".join([fmt % row for row in rows])
 
 
 def _cell(value) -> str:
@@ -254,7 +267,7 @@ def _do_fit(args: argparse.Namespace) -> tuple[dict, tuple]:
         "start_index": result.start_index,
         "T": len(series),
     }
-    return payload, (["key", "value"], [list(payload), map(_cell, payload.values())], "%s,%s\n")
+    return payload, (["key", "value"], [list(payload), [_cell(v) for v in payload.values()]], "%s,%s\n")
 
 
 def _grid_table(res: GridSearchResult, hs, ks) -> str:
@@ -311,7 +324,7 @@ def _do_decode(args: argparse.Namespace) -> tuple[dict, tuple]:
         file=sys.stderr,
     )
     header = ["t", "state"] + [f"q{v}" for v in range(1, config.k + 1)]
-    columns = [range(1, len(series) + 1), states.tolist(), *marginals.T.tolist()]
+    columns = [range(1, len(series) + 1), states, *marginals.T]
     fmt = "%d,%d" + ",%.10g" * config.k + "\n"
     return {"states": states, "marginals": marginals}, (header, columns, fmt)
 
@@ -325,14 +338,14 @@ def _do_predict(args: argparse.Namespace) -> tuple[dict, tuple]:
         file=sys.stderr,
     )
     payload = {"next_state": pred.next_state, "weights": pred.weights, "sigma": pred.sigma}
-    return payload, (["key", "value"], [list(payload), map(_cell, payload.values())], "%s,%s\n")
+    return payload, (["key", "value"], [list(payload), [_cell(v) for v in payload.values()]], "%s,%s\n")
 
 
 def _do_simulate(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     states, series = simulate(config, params, args.length, args.seed)
     print(f"simulate: T={args.length} seed={args.seed}", file=sys.stderr)
-    columns = [range(1, args.length + 1), states.tolist(), series.y.tolist()]
+    columns = [range(1, args.length + 1), states, series.y]
     return {"states": states, "y": series.y}, (["t", "state", "y"], columns, "%d,%d,%.10g\n")
 
 
@@ -351,7 +364,7 @@ def run(args: argparse.Namespace) -> int:
     """Execute one invocation parsed by build_parser; returns the process exit status."""
     try:
         payload, table = _COMMANDS[args.command](args)
-        _emit(_json_text(payload) if args.fmt == "json" else _table_csv(*table), args.out)
+        _emit([_json_text(payload)] if args.fmt == "json" else _table_csv(*table), args.out)
     except CLIError as exc:
         print(f"error: cli: {exc}", file=sys.stderr)
         return 1

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -315,6 +317,91 @@ class GridSearchResult:
         return self.results[self.selected]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_cell(y_arr, h: int, k: int, settings: EMSettings | None) -> tuple:
+    """One grid cell's FitResult, or the message of the model error that
+    ended it, with the warnings it raised as (message, category, filename,
+    lineno) tuples.
+
+    The warnings are recorded under the filters in force, so a filter that
+    ignores one drops it and one that turns it into an error raises.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            outcome = fit(ModelConfig(k=k, h=h), y_arr, settings)
+        except (ValueError, EstimationError) as exc:
+            outcome = str(exc)
+    return outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _warn_again(recorded: list) -> None:
+    """Raise recorded warnings again as from the module that raised them, so
+    filters on that module and its once-per-location registry apply."""
+    if not recorded:
+        return
+    modules = {getattr(mod, "__file__", None): mod for mod in list(sys.modules.values())}
+    for message, category, filename, lineno in recorded:
+        mod = modules.get(filename)
+        # an explicit module=None would drop the warning
+        where = () if mod is None else (mod.__name__, vars(mod).setdefault("__warningregistry__", {}))
+        warnings.warn_explicit(message, category, filename, lineno, *where)
+
+
+def _fork_pool(workers: int):
+    """A pool of that many forked workers, or None where cells run here: one
+    worker, no fork start method, or a daemonic process, which may not start
+    children."""
+    if workers < 2:
+        return None
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _fit_cells(y_arr, cells: list, settings: EMSettings | None) -> list:
+    """_fit_cell's FitResult or error message for each (h, k) cell, in the
+    order of cells.
+
+    The cells run in forked workers, one per usable CPU up to one per cell,
+    submitted costliest first by k**(2h+1) window entries per occasion; the
+    results are gathered in cell order. Without a pool they run here, one
+    after another. Each cell's numbers are the bits of fit on it alone either
+    way. The warnings of every gathered cell are raised again here in cell
+    order, also when a programming error propagates; that error cancels the
+    cells not yet started and is the first that a serial loop would meet.
+    """
+    gathered: list = []
+    pool = _fork_pool(min(len(cells), _usable_cpus()))
+    try:
+        if pool is None:
+            for h, k in cells:
+                gathered.append(_fit_cell(y_arr, h, k, settings))
+        else:
+            with pool:
+                # abs and max keep the key defined for orders that fail at once
+                order = sorted(cells, key=lambda c: abs(c[1]) ** max(2 * c[0] + 1, 0), reverse=True)
+                futures = {cell: pool.submit(_fit_cell, y_arr, *cell, settings) for cell in order}
+                try:
+                    for cell in cells:
+                        gathered.append(futures[cell].result())
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+    finally:
+        _warn_again([w for _, recorded in gathered for w in recorded])
+    return [outcome for outcome, _ in gathered]
+
+
 def grid_search(y, h_values, k_values, settings: EMSettings | None = None) -> GridSearchResult:
     """Fit every (h, k) cell and pick the smallest BIC; ties favor the smaller cell.
 
@@ -322,27 +409,31 @@ def grid_search(y, h_values, k_values, settings: EMSettings | None = None) -> Gr
     structural zero, or an EstimationError) is recorded under errors and
     skipped rather than aborting the whole search; any other exception is a
     programming error and propagates.
+
+    The cells are independent fits, so they run side by side in forked
+    worker processes, one per usable CPU (see _fit_cells); there is no knob.
+    Results, errors, the selection and the error raised are those of fitting
+    the cells one after another in (h, k) order, bit for bit, and the cells'
+    warnings reach the caller in that order.
     """
     hs = sorted({int(v) for v in h_values})
     ks = sorted({int(v) for v in k_values})
     if not hs or not ks:
         raise ValueError("h and k grids must be non-empty")
     y_arr = as_array(y)
+    cells = [(h, k) for h in hs for k in ks]
     results: dict[tuple[int, int], FitResult] = {}
     errors: dict[tuple[int, int], str] = {}
     selected = None
     best_bic = math.inf
-    for h in hs:
-        for k in ks:
-            try:
-                res = fit(ModelConfig(k=k, h=h), y_arr, settings)
-            except (ValueError, EstimationError) as exc:
-                errors[(h, k)] = str(exc)
-                continue
-            results[(h, k)] = res
-            if res.bic < best_bic:
-                best_bic = res.bic
-                selected = (h, k)
+    for cell, outcome in zip(cells, _fit_cells(y_arr, cells, settings)):
+        if isinstance(outcome, str):
+            errors[cell] = outcome
+            continue
+        results[cell] = outcome
+        if outcome.bic < best_bic:
+            best_bic = outcome.bic
+            selected = cell
     if selected is None:
         raise EstimationError("every grid cell failed: " + "; ".join(f"{c}: {m}" for c, m in errors.items()))
     return GridSearchResult(results=results, errors=errors, selected=selected)

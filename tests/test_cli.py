@@ -354,8 +354,22 @@ def reference_csv(header, rows):
 def test_table_csv_matches_csv_writer_bytes():
     values = [0.0, -0.0, 1.0, 1 - 1e-16, 5e-324, 1e-300, 0.1, 1e16, 0.123456789012345, -2.5e-7]
     cols = [list(range(1, len(values) + 1)), [1 + i % 3 for i in range(len(values))], values, values[::-1]]
-    got = _table_csv(["t", "state", "q1", "q2"], cols, "%d,%d,%.10g,%.10g\n")
+    got = "".join(_table_csv(["t", "state", "q1", "q2"], cols, "%d,%d,%.10g,%.10g\n"))
     assert got == reference_csv(["t", "state", "q1", "q2"], zip(*cols))
+
+
+def test_table_csv_blocks_give_the_same_bytes(monkeypatch):
+    # array columns are converted a block at a time; a block boundary adds
+    # nothing and drops nothing
+    values = np.random.default_rng(3).normal(size=10) * 10.0 ** np.arange(-5, 5)
+    states = np.arange(10) % 3 + 1
+    header, fmt = ["t", "state", "q1"], "%d,%d,%.10g\n"
+    want = reference_csv(header, zip(range(1, 11), states.tolist(), values.tolist()))
+    for rows in (1, 3, 10, 4096):
+        monkeypatch.setattr(hmmsv.cli, "_CSV_BLOCK_ROWS", rows)
+        chunks = list(_table_csv(header, [range(1, 11), states, values], fmt))
+        assert len(chunks) == 1 + -(-10 // rows)
+        assert "".join(chunks) == want
 
 
 def test_decode_and_simulate_csv_bytes(tmp_path, capsys):

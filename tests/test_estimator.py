@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -683,3 +687,124 @@ def test_grid_selects_true_order_small(rng):
     # nested models cannot beat larger ones by more than convergence slack
     for h in (0, 1):
         assert out.results[(h, 1)].loglik <= out.results[(h, 2)].loglik + 0.02
+
+
+# the pool's grid: a failing order (h = -1), a closed-form cell (k = 1) and
+# windows of order two
+POOL_GRID = ([-1, 0, 2], [1, 2, 3])
+fork_only = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+
+
+def stale_price_returns():
+    """Returns with about half the days exactly zero, as from a stale price
+    file: EM warns as states lose their weight."""
+    rng = np.random.default_rng(1)
+    return rng.normal(size=30) * (rng.random(30) >= 0.5)
+
+
+def grid_with_cpus(monkeypatch, cpus, y, settings, h_values=POOL_GRID[0], k_values=POOL_GRID[1]):
+    """grid_search as on a host with that many usable CPUs, with whether it
+    used a pool and the warnings that reached the caller."""
+    import hmmsv.estimator
+
+    pools = []
+    fork_pool = hmmsv.estimator._fork_pool
+    monkeypatch.setattr(hmmsv.estimator, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(hmmsv.estimator, "_fork_pool", lambda n: pools.append(fork_pool(n)) or pools[-1])
+    with pytest.warns(DegenerateStateWarning) as caught:
+        out = grid_search(y, h_values, k_values, settings)
+    assert not multiprocessing.active_children()
+    return out, pools[0] is not None, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+@fork_only
+def test_grid_pool_gives_the_one_worker_bits(monkeypatch):
+    y, settings = stale_price_returns(), EMSettings(n_starts=2, max_iterations=30, seed=0)
+    pooled, used_pool, pooled_warnings = grid_with_cpus(monkeypatch, 2, y, settings)
+    serial, used_serial_pool, serial_warnings = grid_with_cpus(monkeypatch, 1, y, settings)
+    assert used_pool and not used_serial_pool
+    assert set(pooled.errors) == {(-1, 1), (-1, 2), (-1, 3)}
+    assert {(0, 1), (2, 1), (2, 3)} <= set(pooled.results)
+    assert pooled.errors == serial.errors
+    assert pooled.selected == serial.selected
+    assert list(pooled.results) == list(serial.results)
+    for cell, got in pooled.results.items():
+        want = serial.results[cell]
+        for a, b in zip(_params_arrays(got.params), _params_arrays(want.params)):
+            assert a.tobytes() == b.tobytes(), cell
+        assert got.trace.tobytes() == want.trace.tobytes(), cell
+        assert (got.loglik, got.bic, got.npar) == (want.loglik, want.bic, want.npar), cell
+        assert (got.converged, got.start_index) == (want.converged, want.start_index), cell
+    # the same warnings, in the same order, from the line that raised them
+    assert len(pooled_warnings) == len(serial_warnings) > 0
+    assert pooled_warnings == serial_warnings
+
+
+@fork_only
+def test_grid_pool_warns_in_cell_order(rng, monkeypatch):
+    import warnings
+
+    import hmmsv.estimator
+
+    real_fit = hmmsv.estimator.fit
+
+    def noisy_fit(config, *args, **kwargs):
+        # from a file that is no module's, as from code built at run time
+        warnings.warn_explicit(UserWarning(f"cell {config.h},{config.k}"), UserWarning, "<cell>", 1)
+        return real_fit(config, *args, **kwargs)
+
+    monkeypatch.setattr(hmmsv.estimator, "fit", noisy_fit)
+    y = rng.normal(size=40)
+    for cpus in (2, 1):
+        monkeypatch.setattr(hmmsv.estimator, "_usable_cpus", lambda: cpus)
+        with pytest.warns(UserWarning) as caught:
+            grid_search(y, [0, 1, 2], [1, 2], EMSettings(n_starts=1, max_iterations=5))
+        cells = [str(w.message) for w in caught if str(w.message).startswith("cell ")]
+        assert cells == [f"cell {h},{k}" for h in (0, 1, 2) for k in (1, 2)]
+        assert not multiprocessing.active_children()
+
+
+def _params_arrays(params):
+    return [params.sigma, params.pi, *params.early]
+
+
+@fork_only
+def test_grid_pool_raises_the_first_programming_error_in_cell_order(rng, monkeypatch):
+    import hmmsv.estimator
+
+    def broken_fit(config, *args, **kwargs):
+        raise TypeError(f"broken cell {config.h},{config.k}")
+
+    monkeypatch.setattr(hmmsv.estimator, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hmmsv.estimator, "fit", broken_fit)
+    # (3, 2) is submitted first, (1, 1) comes first in (h, k) order
+    with pytest.raises(TypeError, match=r"^broken cell 1,1$"):
+        grid_search(rng.normal(size=30), [1, 2, 3], [1, 2], EMSettings(n_starts=1))
+    assert not multiprocessing.active_children()
+
+
+def _grid_cells(y):
+    out = grid_search(y, [0, 1], [1, 2], EMSettings(n_starts=1, max_iterations=20))
+    return out.selected, {cell: res.loglik for cell, res in out.results.items()}
+
+
+@fork_only
+def test_grid_runs_inline_in_a_daemonic_process(rng, monkeypatch):
+    import hmmsv.estimator
+
+    # a daemonic process may not start children, so the cells run in it
+    monkeypatch.setattr(hmmsv.estimator, "_usable_cpus", lambda: 2)
+    y = rng.normal(size=60)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(_grid_cells, (y,)) == _grid_cells(y)
+
+
+def test_import_leaves_process_pools_unloaded():
+    # grid_search imports them when it forks; an import that loads them
+    # costs every process about 19 ms of start-up
+    import hmmsv
+
+    code = "import sys, hmmsv; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hmmsv.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
