@@ -24,12 +24,15 @@ time S = 1 only: that row's S = 10 arrays would take hundreds of MB.
 Emission rows and prior stacks are built outside the timed region.
 The forward pass runs in chunks at (2, 1), (3, 1), (2, 2) and (4, 1) only:
 (2, 3), at k**(2h+1) = 128 per start, is the cheapest grid point past the
-chunk bound of 64 and runs occasion by occasion, as (3, 2) does. With one
-start the backward pass makes one divide per wavefront step, 1 + k calls
-per interior occasion; with several, h + k. The last two columns give
-memory, not time: the tracemalloc peak in MiB of one call of e_step and of
-posterior_joints at S = 1, the two posterior routes, which hold two and one
-(T, k**h, k) arrays.
+chunk bound of 64 and runs occasion by occasion, as (3, 2) does. It
+writes its joints over the slices it is given, so each forward call chains
+a fresh copy, and the forward column includes that copy. With one start
+the backward pass makes one divide per wavefront step, 1 + k calls per
+interior occasion; with several, h + k. The last two columns give memory,
+not time: the tracemalloc peak in MiB of one call of e_step and of
+posterior_joints at S = 1, the two posterior routes. Both hold one
+(T, k**h, k) array; e_step adds the log-likelihood, which reads the joints
+in blocks.
 
     python scripts/engine_timing.py [--repeats 5] [--scale 1.0] [--against PATH]
 
@@ -105,6 +108,11 @@ def chunked(rec, F, P, k: int, h: int) -> None:
         rec._overlap_backward(F, P, k, h)
 
 
+def forward(rec, Q, k: int, h: int) -> None:
+    """The forward joint pass over a copy of the slices Q."""
+    rec._forward_joint_pass(Q.copy(), k, h)
+
+
 def row_inputs(tree, k: int, h: int, T: int):
     """A grid row's model, its max(BATCHES) parameter sets and its series."""
     rng = np.random.default_rng([k, h, T])
@@ -127,7 +135,7 @@ def row_calls(tree, k: int, h: int, T: int):
         yield (partial(interior_build, rec, F, P, k, h), T - 2 * h)
         yield (partial(rec._backward_pass, F, P, k, h), T)
         yield (partial(chunked, rec, F, P, k, h), T)
-        yield (partial(rec._forward_joint_pass, Q, k, h), T)
+        yield (partial(forward, rec, Q, k, h), T)
     yield (partial(tree.bw_backward, group[0], config, y), T) if h == 1 else None
 
 

@@ -83,9 +83,9 @@ def e_step(params, config: ModelConfig, y):
     logs; here a start whose joint at some occasion does not sum to one
     does too. If that fails as well, typically at an exact-zero transition,
     StructuralZeroError names the occasion, as in forward_joint_pass. fit
-    and grid_search run it; the likelihood reads the slices as well as the
-    joints, so it holds two posterior-sized arrays, where posterior_joints,
-    which the decode and predict commands run, gives the same joints in one.
+    and grid_search run it. Each joint is written over its own slice, and
+    the likelihood reads the joints alone, so the route holds one
+    posterior-sized array.
 
     params may also be a non-empty sequence of S parameter sets. They run
     through one batched pass whose arrays are time first; joints comes back
@@ -100,22 +100,20 @@ def e_step(params, config: ModelConfig, y):
         raise ValueError("e_step needs at least one parameter set")
     F, P = _inputs(group, config, y)
     k, h = config.k, config.h
-    slices, joints = _posterior_pass(F, P, k, h)
-    lls = _joint_loglik(F, P, slices, joints, k, h).tolist()
+    joints = _posterior_pass(F, P, k, h)
+    lls = _joint_loglik(F, P, joints, k, h).tolist()
     return (joints.transpose(1, 0, 2, 3), lls) if batch else (joints[:, 0], lls[0])
 
 
 def posterior_joints(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
     """e_step's joints for one parameter set, bit for bit, without the
-    log-likelihood.
+    log-likelihood, which the decode and predict commands do not need.
 
-    The same backward pass, forward chain and reruns on logs, but no joint
-    reads a slice other than its own, so each joint is written over its
-    slice: the route holds one (T, k**h, k) array where e_step holds two.
-    The decode and predict commands run it.
+    The same backward pass, forward chain and reruns on logs, in one
+    (T, k**h, k) array.
     """
     F, P = _inputs([params], config, y)
-    return _posterior_pass(F, P, config.k, config.h, inplace=True)[1][:, 0]
+    return _posterior_pass(F, P, config.k, config.h)[:, 0]
 
 
 def _normalize_rows(z: np.ndarray, k: int) -> np.ndarray:
@@ -186,6 +184,9 @@ def _initial_parameters(config: ModelConfig, y_arr, rng, quantile_start: bool) -
     else:
         sigma = np.sort(scale * np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=k)))
     sigma = np.maximum(sigma, floor)
+    # no |y| exceeds 30 sigma of the widest state, whose density stays near
+    # e**-450 = 2**-649 or above, clear of the rerun on logs' 2**-969 guard
+    sigma[-1] = max(sigma[-1], float(np.abs(y_arr).max()) / 30.0)
 
     def draw_table(n_rows: int, biased: bool) -> np.ndarray:
         table = np.empty((n_rows, k))

@@ -558,32 +558,25 @@ def _overlap_backward(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarra
     return Q
 
 
-def _posterior_pass(
-    F: np.ndarray, P: np.ndarray, k: int, h: int, inplace: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """(T, S, k**h, k) slices and joints of S starts from their (T, S, k)
-    emission rows and (S, h+1, k**(h+1)) prior stacks: _overlap_backward,
-    then _forward_joint_pass. A start whose joint mass fails reruns through
-    _relog; if it fails again, the StructuralZeroError names the start. The
-    other starts keep their bits, as in any batch. Two posterior-sized
-    arrays, as _joint_loglik reads both.
-
-    With inplace, for one start only, each joint is written over its own
-    slice, the same bits in one posterior-sized array, and both returns are
-    that array. A rerun rebuilds the slices into it; with one start, no
-    other start's joints are there to be chained again.
+def _posterior_pass(F: np.ndarray, P: np.ndarray, k: int, h: int) -> np.ndarray:
+    """(T, S, k**h, k) joints of S starts from their (T, S, k) emission rows
+    and (S, h+1, k**(h+1)) prior stacks: _overlap_backward, then
+    _forward_joint_pass, which writes each joint over its slice, so the pass
+    holds one posterior-sized array. A start whose joint mass fails reruns
+    through _relog into its own (T, 1, k**h, k) array, which is chained
+    alone and written back into its column; if it fails again, the
+    StructuralZeroError names the start. The other starts keep their bits,
+    as in any batch.
     """
-    Q, logged = _overlap_backward(F, P, k, h), set()
-    if inplace and Q.shape[1] != 1:
-        raise ValueError(f"an in-place posterior pass takes one start, got {Q.shape[1]}")
+    J, logged = _forward_joint_pass(_overlap_backward(F, P, k, h), k, h), set()
     while True:
         try:
-            return Q, _forward_joint_pass(Q, k, h, Q if inplace else None)
+            return _checked_joints(J)
         except StructuralZeroError as exc:
             if exc.start in logged:
                 raise
             logged.add(exc.start)
-            Q[:, exc.start] = _relog(F, P, exc.start, k, h)
+            J[:, exc.start] = _forward_joint_pass(_relog(F, P, exc.start, k, h)[:, None], k, h)[:, 0]
 
 
 def backward_pass(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
@@ -640,55 +633,53 @@ def _chunk_starts(steps: np.ndarray, carried: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _forward_joint_pass(Q: np.ndarray, k: int, h: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(T, S, k**h, k) joints from (T, S, k**h, k) slices; see forward_joint_pass.
+def _forward_joint_pass(Q: np.ndarray, k: int, h: int) -> np.ndarray:
+    """(T, S, k**h, k) joints from (T, S, k**h, k) slices, each written over
+    its own slice; see forward_joint_pass. Returns the array that holds them:
+    Q itself, or a contiguous copy of a Q in another layout.
 
     Each joint is the slice times the carried lag mass, and the next carried
     mass sums out its oldest lag: two in-place ufunc calls per occasion. If
     k**(2h+1) <= _CHUNK_COST and T holds two chunks of L = ceil(sqrt(T k**h
     / k)), _chunk_starts starts each chunk and the chunks run those calls in
-    lockstep; the last T mod L occasions follow. One reduction then checks
-    that every joint sums to one; if not, a StructuralZeroError names the
-    first such start and its first occasion.
-
-    The joints go to out, a contiguous array of Q's shape, new by default.
-    out may be Q itself: no joint reads a slice but its own, and
-    _chunk_starts reads the slices before any joint is written, so each
-    slice is multiplied in place by the same call, with the same bits.
+    lockstep; the last T mod L occasions follow. No joint reads a slice but
+    its own, and _chunk_starts reads the slices before any joint is written.
+    The joints' sums are not checked here; see _checked_joints.
     """
-    T, S = Q.shape[:2]
-    if out is not None and not (out.shape == Q.shape and out.flags.c_contiguous):
-        # a reshaped view of any other out would be a copy, and the joints lost
-        raise ValueError(f"out must be a C-contiguous {Q.shape} array")
-    J = np.empty(Q.shape) if out is None else out
+    # the joints go through reshaped views of Q, which must not be copies
+    Q = np.ascontiguousarray(Q)
     if h == 0:
         # the posterior factorizes over occasions, so each joint is its slice
-        np.copyto(J, Q)
-    else:
-        m = k**h
-        carried = np.zeros((S, m, 1))
-        carried[:, 0] = 1.0
-        L = ceil(sqrt(T * m // k))
-        done = T - T % L if m * m * k <= _CHUNK_COST and 2 * L <= T else 0
-        if done:
-            # step-major views, chunk axis last like carried
-            steps = Q[:done].reshape(-1, L, S, m, k).transpose(1, 2, 3, 4, 0)
-            carried = _chunk_starts(steps, carried)
-            joints = J[:done].reshape(-1, L, S, m, k).transpose(1, 2, 3, 4, 0)
-            lags = J[:done].reshape(-1, L, S, k, m, 1).transpose(1, 2, 3, 4, 5, 0)
-            for q, joint, lag in zip(steps, joints, lags):
-                np.multiply(q, carried, out=joint)
-                np.add.reduce(lag, axis=1, out=carried)
-            carried = carried[..., -1].copy()
-        # two-axis views of an occasion, and outs passed positionally: ufuncs
-        # parse keywords at a cost per call. Summing axis 1 of lag drops the
-        # oldest lag of each start's joint
-        col, flat = carried.reshape(S * m, 1), carried.reshape(S, m)
-        multiply, reduce = np.multiply, np.add.reduce
-        steps, joints = Q[done:].reshape(-1, S * m, k), J[done:].reshape(-1, S * m, k)
-        for q, joint, lag in zip(steps, joints, J[done:].reshape(-1, S, k, m)):
-            multiply(q, col, joint)
-            reduce(lag, 1, None, flat)
+        return Q
+    T, S, m = Q.shape[:3]
+    carried = np.zeros((S, m, 1))
+    carried[:, 0] = 1.0
+    L = ceil(sqrt(T * m // k))
+    done = T - T % L if m * m * k <= _CHUNK_COST and 2 * L <= T else 0
+    if done:
+        # step-major views, chunk axis last like carried
+        steps = Q[:done].reshape(-1, L, S, m, k).transpose(1, 2, 3, 4, 0)
+        carried = _chunk_starts(steps, carried)
+        lags = Q[:done].reshape(-1, L, S, k, m, 1).transpose(1, 2, 3, 4, 5, 0)
+        for q, lag in zip(steps, lags):
+            np.multiply(q, carried, out=q)
+            np.add.reduce(lag, axis=1, out=carried)
+        carried = carried[..., -1].copy()
+    # two-axis views of an occasion, and outs passed positionally: ufuncs
+    # parse keywords at a cost per call. Summing axis 1 of lag drops the
+    # oldest lag of each start's joint
+    col, flat = carried.reshape(S * m, 1), carried.reshape(S, m)
+    multiply, reduce = np.multiply, np.add.reduce
+    for q, lag in zip(Q[done:].reshape(-1, S * m, k), Q[done:].reshape(-1, S, k, m)):
+        multiply(q, col, q)
+        reduce(lag, 1, None, flat)
+    return Q
+
+
+def _checked_joints(J: np.ndarray) -> np.ndarray:
+    """J if every joint of the (T, S, k**h, k) J sums to one within _ENTRY_TOL,
+    else a StructuralZeroError naming the first such start and occasion."""
+    T, S = J.shape[:2]
     # einsum reduces narrow windows several times faster than sum
     totals = np.einsum("tsw->ts", J.reshape(T, S, -1))
     off = ~(np.abs(totals - 1.0) <= _ENTRY_TOL)
@@ -718,7 +709,8 @@ def forward_joint_pass(slices, config: ModelConfig) -> np.ndarray:
     terms of the slices it came from.
     """
     Q = _posterior_array(slices, config, "slices")
-    return _forward_joint_pass(Q[:, None], config.k, config.h)[:, 0]
+    # the joints are written over a copy: the caller's slices stay as given
+    return _checked_joints(_forward_joint_pass(Q[:, None].copy(), config.k, config.h))[:, 0]
 
 
 def state_marginals(joints) -> np.ndarray:
@@ -755,29 +747,38 @@ def local_decode(marginals) -> np.ndarray:
     return np.argmax(m, axis=1).astype(np.int64) + 1
 
 
-def _joint_loglik(F, P, Q, J, k: int, h: int) -> np.ndarray:
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """Sum of x log x over every axis after the first two, 0 log 0 = 0."""
+    x = x.reshape(*x.shape[:2], -1)
+    # adding one where there is no mass makes those logs 0
+    return np.einsum("tsw,tsw->ts", x, np.log(x + (x == 0.0)))
+
+
+def _joint_loglik(F, P, J, k: int, h: int) -> np.ndarray:
     """(S,) log-likelihoods of S starts: the path identity averaged over the joints.
 
-    F, P, Q and J are the starts' (T, S, k) emission rows, (S, h+1,
-    k**(h+1)) prior stacks, and (T, S, k**h, k) slices and joints. Returns
-    sum_t sum_w J_t(w) (log f_t(u_t) + log p_t(w) - log q_t(w)) over every
-    window w = (u_{t-h}, ..., u_t), where a window without joint mass adds
-    nothing whatever its logs hold (0 log 0 = 0). The emission term is
-    summed against the state marginals; the prior term once per stack row:
-    each occasion t <= h against row t - 1, the later ones' summed joints
-    against row h. F and Q are scratch: their logs are taken in place, so
-    the likelihood costs no posterior-sized array.
+    F, P and J are the starts' (T, S, k) emission rows, (S, h+1, k**(h+1))
+    prior stacks and (T, S, k**h, k) joints. Returns sum_t sum_w J_t(w)
+    (log f_t(u_t) + log p_t(w) - log q_t(w)) over every window w = (u_{t-h},
+    ..., u_t), where a window without joint mass adds nothing whatever its
+    logs hold (0 log 0 = 0). The emission term is summed against the state
+    marginals; the prior term once per stack row: each occasion t <= h
+    against row t - 1, the later ones' summed joints against row h. As q_t(w)
+    = J_t(w) / c_t(lags), c_t the joint summed over u_t, the slice term is
+    sum J log J - sum c log c, taken in blocks of about _STAGE_FLOATS
+    entries. F is scratch: its logs are taken in place.
     """
     T, S = J.shape[:2]
-    # adding one where there is no mass makes those logs 0 and leaves the
-    # bits of every other entry
-    np.add(Q, J == 0.0, out=Q)
-    np.log(Q, out=Q)
-    # einsum reduces narrow windows several times faster than sum
-    marginals = np.einsum("tsmk->tsk", J)
-    np.add(F, marginals == 0.0, out=F)
-    np.log(F, out=F)
-    per_occasion = np.einsum("tsk,tsk->ts", marginals, F) - np.einsum("tsmk,tsmk->ts", J, Q)
+    per_occasion = np.empty((T, S))
+    n = max(1, _STAGE_FLOATS // J[0].size)
+    for a in range(0, T, n):
+        block, logf = J[a : a + n], F[a : a + n]
+        # einsum reduces narrow windows several times faster than sum
+        marginals = np.einsum("tsmk->tsk", block)
+        np.add(logf, marginals == 0.0, out=logf)
+        np.log(logf, out=logf)
+        slice_term = _xlogx(block) - _xlogx(np.einsum("tsmk->tsm", block))
+        np.subtract(np.einsum("tsk,tsk->ts", marginals, logf), slice_term, out=per_occasion[a : a + n])
     rows = np.zeros(P.shape)
     rows[:, : min(T, h)] = J[:h].reshape(-1, S, k ** (h + 1)).swapaxes(0, 1)
     rows[:, h] = J[h:].sum(axis=0).reshape(S, -1)
@@ -801,20 +802,19 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     one does not: the peel lost terms, at an exact-zero transition that
     excludes a state another route still reaches, or at an underflow that
     broke no bound. e_step reruns such a start on logs; this function
-    takes the slices as given.
+    takes the slices as given, and chains a copy of them.
 
-    With a reference path the identity runs along that path alone: the
-    same formula on the path's point-mass joint, which reads one entry of
-    each occasion. It raises StructuralZeroError if the path hits a zero
-    emission, prior or posterior.
+    With a reference path the identity runs along that path alone: the sum
+    over t of log f + log p - log q at the path's window, which reads one
+    entry of each occasion's slice. It raises StructuralZeroError if the
+    path hits a zero emission, prior or posterior.
     """
     F, P = _inputs([params], config, y)
     T = len(F)
     Q = _posterior_array(slices, config, "slices", T)[:, None]
     k, h = config.k, config.h
     if reference is None:
-        # _joint_loglik logs the slices in place; the caller's stay as given
-        return float(_joint_loglik(F, P, Q.copy(), _forward_joint_pass(Q, k, h), k, h)[0])
+        return float(_joint_loglik(F, P, _checked_joints(_forward_joint_pass(Q.copy(), k, h)), k, h)[0])
     ref = _state_path(reference, k, "reference states")
     if ref.size != T:
         raise ValueError(f"reference path has length {ref.size}, expected {T}")
@@ -822,8 +822,6 @@ def log_likelihood(params: ParameterSet, config: ModelConfig, y, slices, referen
     # window index into the padded layout, as in the joints
     padded = np.concatenate([np.zeros(h, dtype=np.int64), ref - 1])
     windows = sliding_window_view(padded, h + 1) @ (k ** np.arange(h, -1, -1))
-    # _joint_loglik on the path's point-mass joint, whose other entries add
-    # exact zeros: gathering the path's T entries gives the same bits
     t = np.arange(T)
     rows = np.zeros(P.shape[1:])
     rows[t[:h], windows[:h]] = 1.0

@@ -219,6 +219,24 @@ def test_fit_single_state_closed_form(rng):
     assert res.bic == pytest.approx(-2 * res.loglik + math.log(64), rel=1e-12)
 
 
+def test_fit_single_state_on_stale_prices():
+    # more than half the returns are exactly zero, so the quantile start's
+    # median |y| is 0; the widest starting sigma is floored at max |y| / 30,
+    # so no emission row falls below the guard of the rerun on logs, and EM
+    # reaches the closed form
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=30) * (rng.random(30) >= 0.5)
+    assert np.median(np.abs(y)) == 0.0
+    start = _initial_parameters(ModelConfig(k=1, h=0), y, np.random.default_rng(0), quantile_start=True)
+    assert start.sigma[0] == np.abs(y).max() / 30.0
+    res = fit(ModelConfig(k=1, h=0), y)
+    assert res.params.sigma[0] == pytest.approx(math.sqrt(np.mean(y**2)), rel=1e-10)
+    assert res.converged
+    with pytest.warns(DegenerateStateWarning):
+        grid = grid_search(y, [0, 1], [1, 2], EMSettings(n_starts=2, max_iterations=30))
+    assert grid.errors == {}
+
+
 def test_fit_on_a_series_without_spread():
     # np.std is 0, so the random starts take their scale from the largest |y|
     config = ModelConfig(k=2, h=0)
@@ -352,9 +370,11 @@ def test_cli_runs_the_e_step_route_on_joint_mass_failures(seed, tmp_path, capsys
     assert pred.read_text().splitlines()[1] == f"next_state,{next_state}"
 
 
-def test_e_step_logs_the_slices_in_place():
-    # one e_step holds the slices and the joints; the likelihood logs the
-    # slices in place, where a log copy of them would peak at 3.45 arrays
+def test_e_step_holds_one_posterior_array():
+    # each joint is written over its slice and the likelihood reads the
+    # joints alone, in blocks: e_step peaks at 1.82 posterior-sized arrays
+    # here, as posterior_joints does, the rest being the emission rows and
+    # the staged blocks; a likelihood that also read the slices would hold 2.34
     config = ModelConfig(k=3, h=2)
     params = random_parameters(3, 2, np.random.default_rng(11), diag_bias=0.6)
     _, series = simulate(config, params, 20_000, seed=11)
@@ -364,11 +384,13 @@ def test_e_step_logs_the_slices_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * series.T * 3**3 * 8
-    # log_likelihood hands _joint_loglik a copy: the caller's slices keep their bits
+    assert peak < 2 * series.T * 3**3 * 8
+    # the public passes chain a copy: the caller's slices keep their bits
     slices = backward_pass(params, config, series)
     kept = slices.copy()
     log_likelihood(params, config, series, slices)
+    assert np.array_equal(slices, kept)
+    forward_joint_pass(slices, config)
     assert np.array_equal(slices, kept)
 
 
@@ -396,10 +418,27 @@ def test_posterior_joints_are_e_steps_bits(case, monkeypatch):
     assert np.array_equal(joints, e_step(params, config, y)[0])
 
 
+def test_batched_rerun_on_logs_chains_its_start_alone(monkeypatch):
+    # the middle start's linear slices fail the joint mass, so it reruns on
+    # logs into its own array, which the forward pass chains alone; the
+    # starts beside it keep the bits of their solo runs
+    config, bad, y = underflowing_set()
+    rng = np.random.default_rng(5)
+    group = [random_parameters(2, 2, rng), bad, random_parameters(2, 2, rng)]
+    alone = [e_step(params, config, y) for params in group]
+    widths = []
+    forward = recursion._forward_joint_pass
+    monkeypatch.setattr(recursion, "_forward_joint_pass", lambda Q, *rest: widths.append(Q.shape[1]) or forward(Q, *rest))
+    joints, lls = e_step(group, config, y)
+    assert widths == [3, 1]
+    for i, (want_joints, want_ll) in enumerate(alone):
+        assert np.array_equal(joints[i], want_joints)
+        assert lls[i] == want_ll
+
+
 def test_posterior_joints_hold_one_posterior_array():
-    # e_step peaks at 2.30 posterior-sized arrays here, as its likelihood
-    # reads the slices and the joints; the joints written over the slices
-    # peak at 1.39, the rest being the emission rows and the staged blocks
+    # the joints written over the slices peak at 1.39 posterior-sized
+    # arrays here, the rest being the emission rows and the staged blocks
     config = ModelConfig(k=3, h=2)
     params = random_parameters(3, 2, np.random.default_rng(11), diag_bias=0.6)
     _, series = simulate(config, params, 50_000, seed=11)

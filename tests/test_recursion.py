@@ -439,11 +439,17 @@ def test_outlier_rows_agree_with_brute_force(trial):
 # start axis: several parameter sets share one pass
 
 
+def joints_of(slices, k, h):
+    """The checked joints of _forward_joint_pass on a copy of slices, which
+    it would overwrite."""
+    return recursion._checked_joints(_forward_joint_pass(slices.copy(), k, h))
+
+
 def assert_batch_matches_alone(group, config, y):
     """Every start's slices and joints in the batch are its bits alone."""
     alone = [backward_pass(p, config, y) for p in group]
     slices = batched_slices(group, config, y)
-    joints = _forward_joint_pass(slices, config.k, config.h)
+    joints = joints_of(slices, config.k, config.h)
     assert slices.shape == joints.shape == (y.size, len(group), config.k**config.h, config.k)
     for i, want in enumerate(alone):
         assert np.array_equal(slices[:, i], want)
@@ -475,11 +481,11 @@ def test_batch_mixes_zero_mass_and_positive_starts(rng):
     for i, params in enumerate(group):
         assert np.array_equal(slices[:, i], backward_pass(params, config, y))
     others = [0, 2, 3]
-    joints = _forward_joint_pass(slices[:, others], config.k, config.h)
+    joints = joints_of(slices[:, others], config.k, config.h)
     for j, i in enumerate(others):
         assert np.array_equal(joints[:, j], forward_joint_pass(slices[:, i], config))
     with pytest.raises(StructuralZeroError, match="joint at t=1 ") as info:
-        _forward_joint_pass(slices, config.k, config.h)
+        joints_of(slices, config.k, config.h)
     assert info.value.start == 1
 
 
@@ -853,19 +859,21 @@ def test_forward_first_joint_is_first_slice(rng):
     assert np.allclose(joints[0, :1], slices[0, :1])
 
 
-def test_forward_out_must_be_contiguous():
-    # the joints go through reshaped views of out, which for any other
-    # layout would be copies; such an out is refused, not silently dropped
+def test_forward_writes_the_joints_over_the_slices():
+    # the joints go through reshaped views of the slices, which for any
+    # other layout would be copies: a strided input is copied first, and the
+    # joints come back in the returned array, not in the caller's
     config, params, y = random_instance(11, k=3, h=2, T=50)
     Q = backward_pass(params, config, y)[:, None]
-    want = _forward_joint_pass(Q, 3, 2)
-    for out in (np.empty((50, 2, 9, 3))[:, :1], np.empty((50, 1, 3, 9)).swapaxes(2, 3), np.empty((50, 1, 9, 2))):
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _forward_joint_pass(Q, 3, 2, out)
-    out = np.empty(Q.shape)
-    assert _forward_joint_pass(Q, 3, 2, out) is out and np.array_equal(out, want)
-    with pytest.raises(ValueError, match="one start"):
-        recursion._posterior_pass(*recursion._inputs([params, params], config, y), 3, 2, inplace=True)
+    want = joints_of(Q, 3, 2)
+    wide = np.zeros((50, 2, 9, 3))
+    wide[:, 1:] = Q
+    for strided in (wide[:, 1:], np.ascontiguousarray(Q.swapaxes(2, 3)).swapaxes(2, 3)):
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(_forward_joint_pass(strided, 3, 2), want)
+        assert np.array_equal(strided, Q)
+    out = Q.copy()
+    assert _forward_joint_pass(out, 3, 2) is out and np.array_equal(out, want)
 
 
 def test_forward_single_state_chain():
@@ -999,25 +1007,29 @@ def test_loglik_reference_invariance(seed):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("h", [0, 1, 2])
 def test_loglik_reference_gathers_the_point_mass_bits(k, h):
-    # a reference path reads one entry of each occasion; the average over
-    # its point-mass joint adds exact zeros for every other entry, so both
-    # give the same bits, on short series and on ones longer than h
+    # a reference path reads one entry of each occasion: its gather is the
+    # sum of log f + log p - log q along the path, one occasion at a time,
+    # on short series and on ones longer than h
     for seed, T in enumerate([1, 2, 3, 25, 40] * 2):
         config, params, y = random_instance(seed, k=k, h=h, T=T)
         rng = np.random.default_rng([k, h, seed])
         slices = backward_pass(params, config, y)
         path = rng.integers(1, k + 1, size=y.size)
-        F, P = recursion._inputs([params], config, y)
-        J = np.zeros(slices.shape)
+        f = emission_matrix(y, params.sigma)
+        terms = []
         for t in range(y.size):
-            lags = [1] * max(0, h - t) + list(path[max(0, t - h) : t + 1])
-            J.reshape(y.size, -1)[t, int(np.ravel_multi_index(np.array(lags) - 1, (k,) * (h + 1)))] = 1.0
-        # _joint_loglik logs its emission rows and slices in place
-        want = recursion._joint_loglik(F, P, slices[:, None].copy(), J[:, None], k, h)[0]
-        assert log_likelihood(params, config, y, slices, reference=path) == want
+            lags = list(path[max(0, t - h) : t] - 1)
+            # the lags before the series start are pinned to index 0
+            window = int(np.ravel_multi_index([0] * (h - len(lags)) + lags + [path[t] - 1], (k,) * (h + 1)))
+            table = params.early[t] if t < h else params.pi
+            row = int(np.ravel_multi_index(lags, (k,) * len(lags))) if lags else 0
+            p = table[row, path[t] - 1]
+            terms.append(math.log(f[t, path[t] - 1]) + math.log(p) - math.log(slices.reshape(y.size, -1)[t, window]))
+        got = log_likelihood(params, config, y, slices, reference=path)
+        assert got == pytest.approx(math.fsum(terms), rel=1e-13, abs=1e-13)
         # the same path through a zero posterior entry
         holed = slices.copy()
-        holed.reshape(y.size, -1)[-1, J[-1].reshape(-1) == 1.0] = 0.0
+        holed.reshape(y.size, -1)[-1, window] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(StructuralZeroError, match="reference path hits a zero posterior"):
@@ -1164,9 +1176,9 @@ def chunk_calls():
 
 
 def loop_joints(slices, k, h):
-    """_forward_joint_pass with chunking off: one occasion after another."""
+    """joints_of with chunking off: one occasion after another."""
     with mock.patch.object(recursion, "_CHUNK_COST", 0):
-        return _forward_joint_pass(slices, k, h)
+        return joints_of(slices, k, h)
 
 
 @given(
@@ -1196,7 +1208,7 @@ def test_chunked_joints_agree_or_raise(seed, k, h, S, random_zeros, data):
         return
     with chunk_calls() as calls:
         try:
-            joints = _forward_joint_pass(slices, k, h)
+            joints = joints_of(slices, k, h)
         except StructuralZeroError as exc:
             with pytest.raises(StructuralZeroError) as loop:
                 loop_joints(slices, k, h)
@@ -1206,7 +1218,7 @@ def test_chunked_joints_agree_or_raise(seed, k, h, S, random_zeros, data):
     assert not np.isnan(joints).any()
     assert np.abs(joints - loop_joints(slices, k, h)).max() < 1e-12
     for i, params in enumerate(group):
-        assert np.array_equal(joints[:, i], _forward_joint_pass(slices[:, i : i + 1], k, h)[:, 0])
+        assert np.array_equal(joints[:, i], joints_of(slices[:, i : i + 1], k, h)[:, 0])
         if k**T <= 2**16:
             exact = brute_force_joint(params, config, y)
             for t in range(1, T + 1):
@@ -1254,7 +1266,7 @@ def test_chunked_joints_stay_finite_over_placeholder_rows():
     assert np.array_equal(starts, np.stack([carried, carried], axis=-1))
     # through the pass: 144 occasions run as 12 chunks of 12, as the loop does
     with chunk_calls() as calls:
-        joints = _forward_joint_pass(slices[:144], k, 1)
+        joints = joints_of(slices[:144], k, 1)
     assert calls == [144]
     assert np.array_equal(joints, loop_joints(slices[:144], k, 1))
     assert np.array_equal(state_marginals(joints[:, 0]), np.tile(np.eye(k)[0], (144, 1)))
@@ -1270,8 +1282,8 @@ def test_chunk_route_ignores_the_batch_size():
         y = rng.normal(0.0, 1.0, size=400)
         slices = batched_slices(group, config, y)
         with chunk_calls() as calls:
-            joints = _forward_joint_pass(slices, k, h)
-            alone = [_forward_joint_pass(slices[:, i : i + 1], k, h) for i in range(10)]
+            joints = joints_of(slices, k, h)
+            alone = [joints_of(slices[:, i : i + 1], k, h) for i in range(10)]
         assert len(calls) == (11 if chunked else 0)
         assert np.array_equal(joints, np.concatenate(alone, axis=1))
 
