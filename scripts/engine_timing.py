@@ -28,11 +28,10 @@ chunk bound of 64 and runs occasion by occasion, as (3, 2) does. It
 writes its joints over the slices it is given, so each forward call chains
 a fresh copy, and the forward column includes that copy. With one start
 the backward pass makes one divide per wavefront step, 1 + k calls per
-interior occasion; with several, h + k. The last two columns give memory,
-not time: the tracemalloc peak in MiB of one call of e_step and of
-posterior_joints at S = 1, the two posterior routes. Both hold one
-(T, k**h, k) array; e_step adds the log-likelihood, which reads the joints
-in blocks.
+interior occasion; with several, h + k. The last column gives memory, not
+time: the tracemalloc peak in MiB of one e_step call at S = 1, which holds
+one (T, k**h, k) array and reads the joints in blocks for the
+log-likelihood.
 
     python scripts/engine_timing.py [--repeats 5] [--scale 1.0] [--against PATH]
 
@@ -42,8 +41,8 @@ import path, times every cell on both, alternating which goes first, and
 prints for each cell the median, least and greatest of the per-pair ratios,
 this tree's time over PATH's: below 1 is faster here. Unpaired medians of
 separate runs can swing 2x on a busy host; the pairs share its state. The
-memory columns give this tree's peak over PATH's, once, as a traced peak
-does not vary between runs; "-" where PATH has no posterior_joints.
+memory column gives this tree's peak over PATH's, once, as a traced peak
+does not vary between runs.
 """
 
 import argparse
@@ -139,22 +138,16 @@ def row_calls(tree, k: int, h: int, T: int):
     yield (partial(tree.bw_backward, group[0], config, y), T) if h == 1 else None
 
 
-def row_peaks(tree, k: int, h: int, T: int) -> list:
-    """The tracemalloc peaks, in MiB, of e_step and posterior_joints on a
-    grid row's first parameter set; None where the tree lacks the route."""
+def row_peak(tree, k: int, h: int, T: int) -> float:
+    """The tracemalloc peak, in MiB, of e_step on a grid row's first
+    parameter set."""
     config, group, y = row_inputs(tree, k, h, T)
-    peaks = []
-    for route in (tree.e_step, getattr(tree, "posterior_joints", None)):
-        if route is None:
-            peaks.append(None)
-            continue
-        tracemalloc.start()
-        try:
-            route(group[0], config, y)
-            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
-        finally:
-            tracemalloc.stop()
-    return peaks
+    tracemalloc.start()
+    try:
+        tree.e_step(group[0], config, y)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def seconds(fn) -> float:
@@ -189,7 +182,7 @@ def main() -> int:
     args = parser.parse_args()
     other = load_tree(args.against) if args.against else None
     head = ["k", "h", "T"] + [f"{name} S={S}" for S in BATCHES for name in NAMES] + ["bw_backward"]
-    head += ["e_step MiB", "joints MiB"]
+    head += ["e_step MiB"]
     if other:
         print(f"numpy {np.__version__}, time ratio this tree / {args.against}, median least-greatest of {args.repeats} pairs")
     else:
@@ -200,15 +193,14 @@ def main() -> int:
         T = max(2 * h + 2, int(T * args.scale))
         row = [k, h, T]
         calls = row_calls(hmmsv, k, h, T)
-        peaks = row_peaks(hmmsv, k, h, T)
+        peak = row_peak(hmmsv, k, h, T)
         if other:
             pairs = zip(calls, row_calls(other, k, h, T))
             row += ["-" if call is None else paired_ratio(call, against, args.repeats) for call, against in pairs]
-            pairs = zip(peaks, row_peaks(other, k, h, T))
-            row += ["-" if theirs is None else f"{ours / theirs:.2f}" for ours, theirs in pairs]
+            row.append(f"{peak / row_peak(other, k, h, T):.2f}")
         else:
             row += ["-" if call is None else median_us(call, args.repeats) for call in calls]
-            row += [f"{peak:.1f}" for peak in peaks]
+            row.append(f"{peak:.1f}")
         print("  ".join(f"{c!s:>{width}s}" for c in row))
     return 0
 

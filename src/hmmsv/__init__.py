@@ -52,7 +52,6 @@ from .estimator import (
     fit,
     grid_search,
     m_step,
-    posterior_joints,
 )
 from .cli import CLIError, ingest, run
 
@@ -96,7 +95,6 @@ __all__ = [
     "fit",
     "grid_search",
     "m_step",
-    "posterior_joints",
     "CLIError",
     "ingest",
     "run",

@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from itertools import compress, islice, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .core import (
     simulate,
     validate,
 )
-from .estimator import EMSettings, EstimationError, GridSearchResult, fit, grid_search, posterior_joints
+from .estimator import EMSettings, EstimationError, GridSearchResult, e_step, fit, grid_search
 from .recursion import (
     backward_pass,  # noqa: F401 -- unused here; bench/selftest.py checks that tracing rebinds it
     local_decode,
@@ -88,19 +88,19 @@ def ingest(path, column=None, prices: bool = False) -> ObservationSeries:
     p = Path(path)
     if not p.exists():
         raise CLIError(f"input file not found: {path}")
-    with open(p, newline="") as fh:
-        records = list(csv.reader(fh))
-    # the records with more than whitespace and their line numbers, in
-    # C-level passes
-    filled = np.fromiter(map(bool, map(str.strip, map("".join, records))), bool, len(records))
-    lines = np.flatnonzero(filled) + 1
-    if not lines.size:
-        raise CLIError(f"input file is empty: {path}")
-
-    idx, skip_first = _column_index(column, records[lines[0] - 1])
-    lines = lines[int(skip_first) :]
-    rows = islice(compress(records, filled), int(skip_first), None)
-    arr = np.fromiter(map(_number, rows, repeat(idx)), float, lines.size)
+    with open(p, newline="", encoding="utf-8-sig") as fh:
+        # the records with more than whitespace, with their line numbers
+        records = ((line, row) for line, row in enumerate(csv.reader(fh), 1) if "".join(row).strip())
+        first = next(records, None)
+        if first is None:
+            raise CLIError(f"input file is empty: {path}")
+        idx, header = _column_index(column, first[1])
+        if not header:
+            records = chain([first], records)
+        data = np.fromiter(
+            ((line, _number(row, idx)) for line, row in records), [("line", np.int64), ("y", float)]
+        )
+    lines, arr = data["line"], data["y"]
     # float() also parses "nan" and "inf", which are not observations
     bad = lines[~np.isfinite(arr)].tolist()
     if bad:
@@ -316,7 +316,7 @@ def _do_grid(args: argparse.Namespace) -> tuple[dict, tuple]:
 def _do_decode(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     series = ingest(args.input, args.column, args.prices)
-    marginals = state_marginals(posterior_joints(params, config, series))
+    marginals = state_marginals(e_step(params, config, series)[0])
     states = local_decode(marginals)
     print(
         f"decode: T={len(series)} states visited="
@@ -332,7 +332,7 @@ def _do_decode(args: argparse.Namespace) -> tuple[dict, tuple]:
 def _do_predict(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     series = ingest(args.input, args.column, args.prices)
-    pred = predict(params, config, local_decode(state_marginals(posterior_joints(params, config, series))))
+    pred = predict(params, config, local_decode(state_marginals(e_step(params, config, series)[0])))
     print(
         f"predict: next state {pred.next_state}, sigma {params.sigma[pred.next_state - 1]:.6g}",
         file=sys.stderr,

@@ -82,10 +82,10 @@ def e_step(params, config: ModelConfig, y):
     in backward_pass, a start whose peel fails its bound check reruns on
     logs; here a start whose joint at some occasion does not sum to one
     does too. If that fails as well, typically at an exact-zero transition,
-    StructuralZeroError names the occasion, as in forward_joint_pass. fit
-    and grid_search run it. Each joint is written over its own slice, and
-    the likelihood reads the joints alone, so the route holds one
-    posterior-sized array.
+    StructuralZeroError names the occasion, as in forward_joint_pass. fit,
+    grid_search and the decode and predict commands run it. Each joint is
+    written over its own slice, and the likelihood reads the joints alone,
+    so the route holds one posterior-sized array.
 
     params may also be a non-empty sequence of S parameter sets. They run
     through one batched pass whose arrays are time first; joints comes back
@@ -103,17 +103,6 @@ def e_step(params, config: ModelConfig, y):
     joints = _posterior_pass(F, P, k, h)
     lls = _joint_loglik(F, P, joints, k, h).tolist()
     return (joints.transpose(1, 0, 2, 3), lls) if batch else (joints[:, 0], lls[0])
-
-
-def posterior_joints(params: ParameterSet, config: ModelConfig, y) -> np.ndarray:
-    """e_step's joints for one parameter set, bit for bit, without the
-    log-likelihood, which the decode and predict commands do not need.
-
-    The same backward pass, forward chain and reruns on logs, in one
-    (T, k**h, k) array.
-    """
-    F, P = _inputs([params], config, y)
-    return _posterior_pass(F, P, config.k, config.h)[:, 0]
 
 
 def _normalize_rows(z: np.ndarray, k: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,32 @@ def test_ingest_counts_lines_past_blank_rows(tmp_path):
     negative = write(tmp_path / "neg.csv", text + "\n2020-01-05,-1\n")
     with pytest.raises(CLIError, match=r"offending line\(s\) 9$"):
         ingest(negative, column="close", prices=True)
+
+
+def test_ingest_skips_a_byte_order_mark(tmp_path):
+    # a UTF-8 byte-order mark is not part of the first cell: the first
+    # number is data, and the first header name matches
+    returns = tmp_path / "r.csv"
+    returns.write_bytes("\ufeff0.5\n-1.0\n2.0\n".encode())
+    assert ingest(returns).y.tolist() == [0.5, -1.0, 2.0]
+    prices = tmp_path / "px.csv"
+    prices.write_bytes("\ufefft,Close\n1,100\n2,105\n".encode())
+    assert ingest(prices, column="t").y.tolist() == [1.0, 2.0]
+
+
+def test_ingest_reads_one_record_at_a_time(tmp_path):
+    # a 100,001-row price file peaks at about 3.1 MiB, the line numbers,
+    # values and returns; a list of its records would take about 24 MiB
+    prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(2).normal(0.0, 1.0, 100_001)) / 100.0)
+    path = write(tmp_path / "px.csv", "t,Close\n" + "".join(f"{t},{p!r}\n" for t, p in enumerate(prices.tolist())))
+    tracemalloc.start()
+    try:
+        series = ingest(path, column="Close", prices=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.T == 100_000
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from hmmsv import (
     log_likelihood,
     m_step,
     param_count,
-    posterior_joints,
     predict,
     simulate,
     state_marginals,
@@ -347,9 +346,8 @@ def test_public_passes_repair_the_peel_bound(seed, tmp_path, capsys):
 @pytest.mark.parametrize("seed", [197, 336, 891])
 def test_cli_runs_the_e_step_route_on_joint_mass_failures(seed, tmp_path, capsys):
     # the reference chain backward_pass -> forward_joint_pass rejects these
-    # fitted sets at the joint-mass check; decode and predict run
-    # posterior_joints, which reruns the start on logs as e_step does, so
-    # they accept what fit wrote
+    # fitted sets at the joint-mass check; decode and predict run e_step,
+    # which reruns the start on logs, so they accept what fit wrote
     config, series, res = underflow_fit(seed)
     params_file, data = tmp_path / "params.json", tmp_path / "y.csv"
     params_file.write_text(_json_text(params_payload(config, res.params)))
@@ -373,8 +371,8 @@ def test_cli_runs_the_e_step_route_on_joint_mass_failures(seed, tmp_path, capsys
 def test_e_step_holds_one_posterior_array():
     # each joint is written over its slice and the likelihood reads the
     # joints alone, in blocks: e_step peaks at 1.82 posterior-sized arrays
-    # here, as posterior_joints does, the rest being the emission rows and
-    # the staged blocks; a likelihood that also read the slices would hold 2.34
+    # here, the rest being the emission rows and the staged blocks; a
+    # likelihood that also read the slices would hold 2.34
     config = ModelConfig(k=3, h=2)
     params = random_parameters(3, 2, np.random.default_rng(11), diag_bias=0.6)
     _, series = simulate(config, params, 20_000, seed=11)
@@ -395,9 +393,9 @@ def test_e_step_holds_one_posterior_array():
 
 
 @pytest.mark.parametrize("case", ["plain", "overlap chunks", "rerun on logs"])
-def test_posterior_joints_are_e_steps_bits(case, monkeypatch):
-    # the joints written over the slices are e_step's, bit for bit, on the
-    # sequential pass, on EM's overlap chunks and after a rerun on logs
+def test_decode_marginals_are_e_steps(case, tmp_path, monkeypatch, capsys):
+    # hmmsv decode writes e_step's marginals on the sequential pass, on EM's
+    # overlap chunks and after a rerun on logs
     if case == "plain":
         config = ModelConfig(k=3, h=2)
         params = random_parameters(3, 2, np.random.default_rng(3), diag_bias=0.5)
@@ -408,14 +406,20 @@ def test_posterior_joints_are_e_steps_bits(case, monkeypatch):
         y = simulate(config, params, 3_000, seed=4)[1].y
     else:
         config, params, y = underflowing_set()
+    params_file, data, out = tmp_path / "params.json", tmp_path / "y.csv", tmp_path / "dec.csv"
+    params_file.write_text(_json_text(params_payload(config, params)))
+    data.write_text("".join(f"{v:.17g}\n" for v in y))
+    _, params = load_params(params_file)
     widths, reruns = [], []
     backward, relog = recursion._backward_pass, recursion._relog
     monkeypatch.setattr(recursion, "_backward_pass", lambda F, *rest: widths.append(F.shape[1]) or backward(F, *rest))
     monkeypatch.setattr(recursion, "_relog", lambda *args: reruns.append(args[2]) or relog(*args))
-    joints = posterior_joints(params, config, y)
+    assert main(["decode", "--params", str(params_file), "--input", str(data), "--format", "csv", "--out", str(out)]) == 0
+    capsys.readouterr()
     assert (widths[0] > 1) == (case == "overlap chunks")
     assert reruns == ([0] if case == "rerun on logs" else [])
-    assert np.array_equal(joints, e_step(params, config, y)[0])
+    want = [",".join(f"{q:.10g}" for q in row) for row in state_marginals(e_step(params, config, y)[0])]
+    assert [line.split(",", 2)[2] for line in out.read_text().splitlines()[1:]] == want
 
 
 def test_batched_rerun_on_logs_chains_its_start_alone(monkeypatch):
@@ -436,15 +440,16 @@ def test_batched_rerun_on_logs_chains_its_start_alone(monkeypatch):
         assert lls[i] == want_ll
 
 
-def test_posterior_joints_hold_one_posterior_array():
-    # the joints written over the slices peak at 1.39 posterior-sized
-    # arrays here, the rest being the emission rows and the staged blocks
+def test_e_step_on_a_long_series_holds_one_posterior_array():
+    # at decode's shape the joints written over the slices peak at 1.39
+    # posterior-sized arrays here, the rest being the emission rows and the
+    # staged blocks
     config = ModelConfig(k=3, h=2)
     params = random_parameters(3, 2, np.random.default_rng(11), diag_bias=0.6)
     _, series = simulate(config, params, 50_000, seed=11)
     tracemalloc.start()
     try:
-        posterior_joints(params, config, series)
+        e_step(params, config, series)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
