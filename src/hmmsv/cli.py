@@ -15,7 +15,6 @@ import csv
 import json
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +26,10 @@ from .core import (
     simulate,
     validate,
 )
-from .estimator import EMSettings, EstimationError, GridSearchResult, e_step, fit, grid_search
+from .estimator import EMSettings, EstimationError, GridSearchResult, fit, grid_search
 from .recursion import (
+    _inputs,
+    _posterior_pass,
     backward_pass,  # noqa: F401 -- unused here; bench/selftest.py checks that tracing rebinds it
     local_decode,
     predict,
@@ -79,27 +80,41 @@ def _number(row: list[str], idx: int) -> float:
         return math.nan
 
 
-def ingest(path, column=None, prices: bool = False) -> ObservationSeries:
-    """Load one numeric column from a CSV or plain-number file.
+def _records(fh):
+    """The CSV records of fh with more than whitespace, with their line numbers."""
+    return ((line, row) for line, row in enumerate(csv.reader(fh), 1) if "".join(row).strip())
 
-    With prices=True the column holds closing prices p_t and the series
-    becomes the T - 1 percentage log-returns 100 ln(p_t / p_{t-1}).
+
+def _parsed(fh, idx: int, head: list, prices: bool):
+    """head and the rest of fh's column idx, read by numpy's C reader; None
+    where the record loop must read them instead.
+
+    The C reader and float() both parse a cell with PyOS_string_to_double
+    after stripping whitespace. float() also takes underscores and non-ASCII
+    digits, which the C reader refuses, as it refuses blank and
+    whitespace-only records, a missing cell and anything else that is not a
+    number. Those files, and any whose values are empty, not finite or (as
+    prices) not positive, go to the loop, the one source of error messages.
     """
-    p = Path(path)
-    if not p.exists():
-        raise CLIError(f"input file not found: {path}")
-    with open(p, newline="", encoding="utf-8-sig") as fh:
-        # the records with more than whitespace, with their line numbers
-        records = ((line, row) for line, row in enumerate(csv.reader(fh), 1) if "".join(row).strip())
-        first = next(records, None)
-        if first is None:
-            raise CLIError(f"input file is empty: {path}")
-        idx, header = _column_index(column, first[1])
-        if not header:
-            records = chain([first], records)
-        data = np.fromiter(
-            ((line, _number(row, idx)) for line, row in records), [("line", np.int64), ("y", float)]
-        )
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        # a file with no record past head warns "input contained no data"
+        warnings.simplefilter("always")
+        try:
+            rest = np.loadtxt(fh, delimiter=",", quotechar='"', usecols=idx, comments=None, dtype=float, ndmin=1)
+        except ValueError:
+            return None
+    arr = np.concatenate((head, rest))
+    if caught or not arr.size or not np.isfinite(arr).all() or (prices and not (arr > 0).all()):
+        return None
+    return arr
+
+
+def _record_loop(records, idx: int, path, prices: bool) -> np.ndarray:
+    """The values of column idx in records, or a CLIError naming the line of
+    every missing, non-numeric, non-finite or (as prices) non-positive cell."""
+    data = np.fromiter(((line, _number(row, idx)) for line, row in records), [("line", np.int64), ("y", float)])
     lines, arr = data["line"], data["y"]
     # float() also parses "nan" and "inf", which are not observations
     bad = lines[~np.isfinite(arr)].tolist()
@@ -109,13 +124,59 @@ def ingest(path, column=None, prices: bool = False) -> ObservationSeries:
         )
     if not arr.size:
         raise CLIError(f"empty series: no data rows in {path}")
-
     if prices:
         nonpos = lines[~(arr > 0)].tolist()
         if nonpos:
             raise CLIError(
                 "prices must be positive; offending line(s) " + ", ".join(str(n) for n in nonpos)
             )
+    return arr
+
+
+def _undecodable(path) -> str:
+    """The first byte of path that is not UTF-8: its value, offset and why."""
+    offset = 0
+    with open(path, "rb") as fh:
+        # no UTF-8 character holds a newline byte, so lines decode alone
+        for line in fh:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"byte 0x{line[exc.start]:02x} at offset {offset + exc.start} ({exc.reason})"
+            offset += len(line)
+    return "the file changed while it was read"
+
+
+def ingest(path, column=None, prices: bool = False) -> ObservationSeries:
+    """Load one numeric column from a CSV or plain-number file.
+
+    With prices=True the column holds closing prices p_t and the series
+    becomes the T - 1 percentage log-returns 100 ln(p_t / p_{t-1}).
+
+    The first record decides the column and whether it is a header; numpy's
+    C reader parses the rest (_parsed). A file it refuses is read again from
+    the start by the record loop, which gives the same values wherever both
+    read a file.
+    """
+    p = Path(path)
+    if not p.exists():
+        raise CLIError(f"input file not found: {path}")
+    try:
+        with open(p, newline="", encoding="utf-8-sig") as fh:
+            first = next(_records(fh), None)
+            if first is None:
+                raise CLIError(f"input file is empty: {path}")
+            idx, header = _column_index(column, first[1])
+            arr = _parsed(fh, idx, [] if header else [_number(first[1], idx)], prices)
+            if arr is None:
+                fh.seek(0)
+                records = _records(fh)
+                if header:
+                    next(records)
+                arr = _record_loop(records, idx, path, prices)
+    except UnicodeDecodeError:
+        raise CLIError(f"cannot decode {path} as UTF-8: {_undecodable(p)}") from None
+    if prices:
         if arr.size < 2:
             raise CLIError("empty series: need at least two prices to form returns")
         arr = 100.0 * np.log(arr[1:] / arr[:-1])
@@ -313,10 +374,16 @@ def _do_grid(args: argparse.Namespace) -> tuple[dict, tuple]:
     return payload, (names + ["selected"], [*zip(*rows), selected], "%d,%d,%.10g,%d,%.10g,%s,%d\n")
 
 
+def _joints(params: ParameterSet, config: ModelConfig, series: ObservationSeries) -> np.ndarray:
+    """e_step's joints, bit for bit, without the log-likelihood that decode
+    and predict have no use for."""
+    return _posterior_pass(*_inputs([params], config, series), config.k, config.h)[:, 0]
+
+
 def _do_decode(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     series = ingest(args.input, args.column, args.prices)
-    marginals = state_marginals(e_step(params, config, series)[0])
+    marginals = state_marginals(_joints(params, config, series))
     states = local_decode(marginals)
     print(
         f"decode: T={len(series)} states visited="
@@ -332,7 +399,7 @@ def _do_decode(args: argparse.Namespace) -> tuple[dict, tuple]:
 def _do_predict(args: argparse.Namespace) -> tuple[dict, tuple]:
     config, params = load_params(args.params)
     series = ingest(args.input, args.column, args.prices)
-    pred = predict(params, config, local_decode(state_marginals(e_step(params, config, series)[0])))
+    pred = predict(params, config, local_decode(state_marginals(_joints(params, config, series))))
     print(
         f"predict: next state {pred.next_state}, sigma {params.sigma[pred.next_state - 1]:.6g}",
         file=sys.stderr,

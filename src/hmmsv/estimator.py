@@ -82,8 +82,9 @@ def e_step(params, config: ModelConfig, y):
     in backward_pass, a start whose peel fails its bound check reruns on
     logs; here a start whose joint at some occasion does not sum to one
     does too. If that fails as well, typically at an exact-zero transition,
-    StructuralZeroError names the occasion, as in forward_joint_pass. fit,
-    grid_search and the decode and predict commands run it. Each joint is
+    StructuralZeroError names the occasion, as in forward_joint_pass. fit
+    and grid_search run it. The decode and predict commands take the same
+    joints from the same pass, and compute no likelihood. Each joint is
     written over its own slice, and the likelihood reads the joints alone,
     so the route holds one posterior-sized array.
 

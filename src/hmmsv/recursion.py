@@ -751,7 +751,8 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     """Sum of x log x over every axis after the first two, 0 log 0 = 0."""
     x = x.reshape(*x.shape[:2], -1)
     # adding one where there is no mass makes those logs 0
-    return np.einsum("tsw,tsw->ts", x, np.log(x + (x == 0.0)))
+    logs = x + (x == 0.0)
+    return np.einsum("tsw,tsw->ts", x, np.log(logs, out=logs))
 
 
 def _joint_loglik(F, P, J, k: int, h: int) -> np.ndarray:

@@ -5,9 +5,13 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hmmsv.cli
 from hmmsv import (
@@ -157,6 +161,153 @@ def test_ingest_reads_one_record_at_a_time(tmp_path):
         tracemalloc.stop()
     assert series.T == 100_000
     assert peak < 8 * 2**20
+
+
+def test_ingest_names_the_first_byte_that_is_not_utf8(tmp_path, capsys):
+    # in the first record, the csv reader's; in a later one, the C reader's
+    # and then the record loop's; offsets count a byte-order mark
+    for name, raw, offset in [
+        ("first.csv", b"caf\xe9,1\n0,1.5\n", 3),
+        ("later.csv", b"x,y\n1,2\n3,\xe9\n", 10),
+        ("bom.csv", b"\xef\xbb\xbfx,y\n1,2\n3,\xe9\n", 13),
+    ]:
+        path = tmp_path / name
+        path.write_bytes(raw)
+        message = f"cannot decode {path} as UTF-8: byte 0xe9 at offset {offset} (invalid continuation byte)"
+        with pytest.raises(CLIError) as err:
+            ingest(path, column=1)
+        assert str(err.value) == message
+        with pytest.raises(UnicodeDecodeError) as exc:
+            raw.decode("utf-8")
+        assert exc.value.start == offset
+    assert main(["fit", "--input", str(path), "--column", "1", "--h", "0", "--k", "1"]) == 1
+    assert capsys.readouterr().err == f"error: cli: {message}\n"
+
+
+def record_loop_alone(*args, **kwargs):
+    """ingest with the C reader refusing every file: the record loop's result."""
+    with mock.patch.object(hmmsv.cli, "_parsed", lambda *rest: None):
+        return ingest(*args, **kwargs)
+
+
+def outcome(read, *args, **kwargs):
+    """A reader's values as bits, or its error as type and message, and the
+    warnings it let out."""
+    # prices 1e-300 and 1e300 apart overflow a return; both readers then
+    # fail alike, and the overflow is no warning under -W error
+    with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore"):
+        warnings.simplefilter("always")
+        try:
+            result = read(*args, **kwargs).y.tobytes()
+        except Exception as exc:  # csv.Error too: it must be the same error
+            result = type(exc), str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+# cells the two readers must agree on: numbers padded, quoted and spelt
+# every way float() or the C reader reads them, and cells neither reads
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
+ODD_VALUES = st.sampled_from(
+    ["0", "-0", "0.0", "-1", "1_000", "1_0.5", "\u0661\u0662", "\uff11", "nan", "-inf", "inf", "1e999", "-1e999",
+     "+2", ".5", "5.", "1e5", "0x10", "1d5", "", "x", "\ufeff1"]
+)  # fmt: skip
+# mostly plain numbers, so that many files pass the C reader whole
+PLAIN = [NUMBERS.map(repr), NUMBERS.map(abs).map(repr), NUMBERS.map(lambda v: f"{v:.6g}"), st.integers(1, 1000).map(str)]
+VALUES = st.one_of(*PLAIN * 3, ODD_VALUES)
+PADS = st.sampled_from(["", " ", "  ", "\t", "\u2003", "\x85"])
+# other columns: a quoted comma shifts the columns after it where it is
+# not read as quoted, silently where they hold numbers
+OTHERS = st.sampled_from(
+    ['"Jan 1, 2020"', '"1,5"'] * 2 + ["7", "8", "2020"] * 2 + ["2020-01-01", "a", "", " ", '"a""b"', '"x\ny"']
+)
+if sys.version_info >= (3, 11):
+    # csv refuses a NUL byte before Python 3.11 (see below)
+    OTHERS = st.one_of(OTHERS, st.just("a\x00b"))
+
+
+@st.composite
+def value_cells(draw):
+    text = draw(PADS) + draw(VALUES) + draw(PADS)
+    return f'"{text}"' if draw(st.booleans()) and '"' not in text else text
+
+
+@st.composite
+def csv_files(draw):
+    """(text, column) of a small CSV file: optional header and index column,
+    blank, whitespace-only and ragged rows, every line ending, an optional
+    byte-order mark; column is None, an index or a header name."""
+    width = draw(st.integers(1, 4))
+    idx = draw(st.integers(0, width - 1))
+    rows = []
+    if draw(st.booleans()):
+        rows.append(["t", "Close", "v", "w"][:width])
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["data"] * 12 + ["blank", "spaces", "commas", "ragged"]))
+        if kind == "data":
+            rows.append([draw(value_cells()) if i == idx else draw(OTHERS) for i in range(width)])
+        elif kind == "blank":
+            rows.append([])
+        elif kind == "spaces":
+            rows.append([" \t "])
+        elif kind == "commas":
+            rows.append([" ", " "])
+        else:
+            rows.append([draw(value_cells()) for _ in range(draw(st.integers(1, 4)))])
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows), max_size=len(rows)))
+    text = "".join(",".join(row) + end for row, end in zip(rows, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    name = ["t", "Close", "v", "w"][idx]
+    column = draw(st.sampled_from([None] * (4 if width == 1 else 1) + [idx, str(idx), name] * 3 + [f" {name} ", "nope"]))
+    return text, column
+
+
+@given(case=csv_files(), prices=st.booleans())
+@example(case=('t,x,y\n"1,5",7,3.2\n2,8,4.5\n', 2), prices=False)
+@settings(deadline=None, max_examples=300)
+def test_ingest_agrees_with_the_record_loop(tmp_path_factory, case, prices):
+    # the C reader's values are the record loop's bits, and every file it
+    # refuses gets the loop's values or error message
+    text, column = case
+    path = tmp_path_factory.mktemp("agree") / "in.csv"
+    path.write_bytes(text.encode())
+    assert outcome(ingest, path, column, prices) == outcome(record_loop_alone, path, column, prices)
+
+
+def test_ingest_reads_a_nul_byte_in_another_column(tmp_path):
+    # csv reads a NUL byte from Python 3.11 on; before, it raises csv.Error,
+    # and so does ingest when the NUL sits in the first record. In a later
+    # record, in a column ingest does not read, the C reader reads the file
+    # as the record loop does from 3.11 on
+    path = tmp_path / "nul.csv"
+    path.write_bytes(b"1,a\n2,\x00\n3,b\n")
+    assert ingest(path, column=0).y.tolist() == [1.0, 2.0, 3.0]
+    if sys.version_info >= (3, 11):
+        assert record_loop_alone(path, column=0).y.tolist() == [1.0, 2.0, 3.0]
+    else:
+        with pytest.raises(csv.Error):
+            record_loop_alone(path, column=0)
+
+
+def test_ingest_parses_a_long_price_file_in_c(tmp_path, monkeypatch):
+    # decode-long's file, and its column without the header, reach _number
+    # with their first data record at most, and the C reader gives the
+    # record loop's bits
+    prices = 100.0 * np.exp(np.cumsum(np.random.default_rng(3).normal(0.0, 1.0, 100_001)) / 100.0)
+    lines = [f"{t},{p!r}\n" for t, p in enumerate(prices.tolist())]
+    with_header = write(tmp_path / "px.csv", "t,Close\n" + "".join(lines))
+    headerless = write(tmp_path / "close.csv", "".join(line.split(",")[1] for line in lines))
+    cases = [(with_header, "Close", []), (headerless, None, [[lines[0].split(",")[1][:-1]]])]
+    want = [record_loop_alone(path, column=column, prices=True).y.tobytes() for path, column, _ in cases]
+    rows = []
+    number = hmmsv.cli._number
+    monkeypatch.setattr(hmmsv.cli, "_number", lambda row, idx: rows.append(row) or number(row, idx))
+    for (path, column, first), bits in zip(cases, want):
+        rows.clear()
+        assert ingest(path, column=column, prices=True).y.tobytes() == bits
+        assert rows == first
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +617,24 @@ def test_decode_runs_the_chunked_e_step(tmp_path, monkeypatch, capsys):
     want = state_marginals(forward_joint_pass(backward_pass(file_params, config, series.y), config))
     got = np.loadtxt(dec, delimiter=",", skiprows=1)[:, 2:]
     assert np.abs(got - want).max() <= 1e-9
+
+
+def test_decode_and_predict_compute_no_likelihood(tmp_path, sim_csv, monkeypatch, capsys):
+    # both commands take e_step's joints and leave out its log-likelihood,
+    # which the spy shows e_step itself does compute
+    params_file = tmp_path / "fit.json"
+    argv = ["--input", sim_csv]
+    assert main(["fit", *argv, "--h", "1", "--k", "2", "--starts", "1", "--max-iter", "5", "--out", str(params_file)]) == 0
+    calls = []
+    joint_loglik = hmmsv.estimator._joint_loglik
+    monkeypatch.setattr(hmmsv.estimator, "_joint_loglik", lambda *args: calls.append(1) or joint_loglik(*args))
+    assert main(["decode", "--params", str(params_file), *argv, "--format", "csv"]) == 0
+    assert main(["predict", "--params", str(params_file), *argv]) == 0
+    assert calls == []
+    config, params = load_params(params_file)
+    hmmsv.estimator.e_step(params, config, ingest(sim_csv))
+    assert calls == [1]
+    capsys.readouterr()
 
 
 FIT_KEYS = ["k", "h", "sigma", "early", "pi", "loglik", "npar", "bic", "trace", "converged", "start_index", "T"]
